@@ -4,18 +4,20 @@ The planner maximizes the sum of the per-municipality objectives subject to
 every local schedule's own threshold and cap plus a joint budget
 sum(b_i) <= B.  The KKT system says: charge every municipality a common
 shadow price lambda_B on top of its political cost, then let each run its own
-threshold-linear-cap rule.  Aggregate demand is continuous and piecewise
-linear, decreasing in lambda_B, so a plain bisection clears the budget.
+threshold-linear-cap rule.  Aggregate demand is piecewise linear in lambda_B
+with at most 2N kinks, so the price is solved exactly in O(N log N)
+(Helgason, Kennington & Lall 1980; Brucker 1984).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParameterError
-from .policy import MechanismParams, cutoffs, tlc_policy_linear
+from .policy import MechanismParams, _tlc, cutoffs, tlc_policy_linear
 
 __all__ = [
     "AllocationProblem",
@@ -26,11 +28,6 @@ __all__ = [
     "cap_ordering_report",
     "grid_oracle",
 ]
-
-#: Budget-residual tolerance for the shadow-price bisection, and iteration cap.
-BUDGET_TOL = 1e-8
-BISECTION_MAX_ITER = 200
-
 
 @dataclass(frozen=True)
 class AllocationProblem:
@@ -80,42 +77,46 @@ def _shifted(params: MechanismParams, lam: float) -> MechanismParams:
     return replace(params, omega_T=params.omega_T + lam) if lam else params
 
 
-def _demand(problem: AllocationProblem, lam: float) -> float:
-    return sum(
-        tlc_policy_linear(theta, _shifted(p, lam))
-        for p, theta in problem.municipalities
-    )
-
-
 def allocate(problem: AllocationProblem) -> AllocationResult:
-    """Budget-feasible optimum via bisection on the common shadow price.
+    """Budget-feasible optimum at the exact clearing shadow price.
 
-    If unconstrained demand fits the treasury, lambda_B = 0.  Otherwise
-    lambda_B solves aggregate demand = B; the bracket [0, max omega_b * theta]
-    pins demand between its unconstrained value and 0.  The returned price
-    sits on the feasible (demand <= B) side of the final bracket.
+    lambda_B is the smallest lambda >= 0 at which aggregate demand is at most
+    B.  Demand is linear between the kinks lambda = m_i (transfer reaches 0)
+    and m_i - c_i * b_bar_i (transfer leaves the cap), m_i = omega_b * theta
+    - omega_T: a binary search over the sorted kinks finds the last one where
+    demand exceeds B, and the linear equation of the segment after it gives
+    lambda_B, in O(log N) vectorized demand evaluations.
     """
     B = problem.treasury_limit
-    if _demand(problem, 0.0) <= B:
+    omega_b, c, omega_T, T, b_bar, theta = np.array(
+        [(p.omega_b, p.c, p.omega_T, p.T, p.b_bar, t) for p, t in problem.municipalities]
+    ).T
+
+    def demand(lam: float) -> float:
+        return float(_tlc(theta, omega_b, c, omega_T + lam, T, b_bar).sum())
+
+    if demand(0.0) <= B:
         lam = 0.0
     else:
-        # demand(hi) stays <= B throughout, so returning the hi end keeps the
-        # result feasible to machine precision, far inside BUDGET_TOL.
-        lo, hi = 0.0, max(p.omega_b * t for p, t in problem.municipalities)
-        for _ in range(BISECTION_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if _demand(problem, mid) > B:
-                lo = mid
-            else:
-                hi = mid
-        lam = hi
+        m = omega_b * theta - omega_T
+        m_cap = m - c * b_bar
+        # inf closes the search with demand exactly 0, which rounding in the
+        # kernel may deny the last finite kink.
+        kinks = np.unique(np.concatenate([[0.0], m, m_cap, [np.inf]]))
+        kinks = kinks[kinks >= 0.0]
+        hi = bisect_left(kinks, True, key=lambda k: demand(k) <= B)
+        k_lo, k_hi = kinks[hi - 1], kinks[hi]
+        # Demand falls at rate sum(1 / c_i) over the municipalities interior
+        # on (k_lo, k_hi).  A flat segment means demand exceeds B at k_lo by
+        # rounding only, so k_lo itself is the smallest clearing price.
+        mid = 0.5 * (k_lo + k_hi)
+        slope = float(np.sum(1.0 / c[(theta >= T) & (m_cap < mid) & (mid < m)]))
+        lam = float(min(k_lo + (demand(k_lo) - B) / slope, k_hi)) if slope > 0 else float(k_lo)
 
     allocations = []
     flags = []
-    for p, theta in problem.municipalities:
-        b = tlc_policy_linear(theta, _shifted(p, lam))
+    for p, t in problem.municipalities:
+        b = tlc_policy_linear(t, _shifted(p, lam))
         allocations.append(b)
         if b == 0.0:
             flags.append("zero")

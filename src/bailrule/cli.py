@@ -5,8 +5,8 @@ episode data), ``audit`` (fit + compliance report + plot), ``sweep``
 (cutoff/cap trajectories over a parameter), ``allocate`` (treasury split).
 
 Exit codes: 0 success; 1 config/data validation error; 2 estimation or
-numerical failure; 3 signature-check failure under ``audit --strict`` (or a
-failed self-check under ``allocate --strict``).
+numerical failure (or a failed self-check under ``allocate --strict``);
+3 signature-check failure under ``audit --strict``.
 
 All artifacts are deterministic: fixed seeds drive all randomness, floats
 are serialized with repr, and timestamps come from SOURCE_DATE_EPOCH or the

@@ -1,7 +1,7 @@
 """Episode CSV files: header ``theta,b`` with an optional ``regime`` column.
 
 UTF-8, LF line endings, full-precision floats via repr.  Readers reject NaN
-and negative payouts with errors naming the offending row; these files are
+and negative values with errors naming the offending row; these files are
 the only data interchange surface, so the contract is enforced strictly.
 """
 
@@ -44,8 +44,8 @@ def _parse_rows(rows, path: str):
             ) from None
         if math.isnan(theta) or math.isnan(b):
             raise DataError(f"{path}:{lineno}: NaN is not a valid observation")
-        if not math.isfinite(theta):
-            raise DataError(f"{path}:{lineno}: theta must be finite, got {row[0]!r}")
+        if theta < 0 or math.isinf(theta):
+            raise DataError(f"{path}:{lineno}: theta must be finite and >= 0, got {row[0]!r}")
         if b < 0 or math.isinf(b):
             raise DataError(f"{path}:{lineno}: b must be finite and >= 0, got {row[1]!r}")
         regime = row[2].strip() or None if has_regime else None

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimationError, ParameterError
-from .policy import MechanismParams, cutoffs, tlc_policy_linear
+from .policy import MechanismParams, _tlc, cutoffs
 from .voting import bundle_check
 
 __all__ = [
@@ -94,7 +94,6 @@ class TlcFit:
     degenerate: bool = False
     no_interior: bool = False
     structural: bool = True
-    method: str = "profile_ls"
 
     @property
     def cap_level(self) -> float:
@@ -137,7 +136,6 @@ def fit_tlc(
     t_admissible: float,
     knot_grid: int = 201,
     linear_benefit: bool = True,
-    method: str = "profile_ls",
 ) -> TlcFit:
     """Profile least squares over knot pairs with closed-form slope.
 
@@ -151,10 +149,6 @@ def fit_tlc(
     Set ``linear_benefit=False`` when the payouts are believed to come from a
     general concave benefit; the fit is unchanged but flagged non-structural.
     """
-    if method != "profile_ls":
-        raise NotImplementedError(
-            f"method {method!r} is reserved but not implemented; use 'profile_ls'"
-        )
     if len(data) < 4:
         raise EstimationError(f"need at least 4 episodes, got {len(data)}")
     theta, b = _as_arrays(data)
@@ -261,20 +255,20 @@ def classify_episodes(
     """
     if tol is None:
         tol = default_tolerance(fit)
+    theta, b = _as_arrays(data)
+    return _label(theta, b, predict(theta, fit), tol, fit.theta1, fit.theta2)
+
+
+def _label(theta, b, target, tol, lo, hi) -> list[str]:
+    """override where |b - target| > tol, else zero / interior / cap by
+    whether theta lies below lo, in [lo, hi], or above hi."""
     if tol < 0:
         raise ParameterError(f"tol must be >= 0, got {tol}")
-    labels = []
-    for e in data:
-        if e.theta < fit.theta1:
-            ok = abs(e.b) <= tol
-            labels.append(REGIME_ZERO if ok else REGIME_OVERRIDE)
-        elif e.theta <= fit.theta2:
-            ok = abs(e.b - fit.s * (e.theta - fit.theta1)) <= tol
-            labels.append(REGIME_INTERIOR if ok else REGIME_OVERRIDE)
-        else:
-            ok = abs(e.b - fit.cap_level) <= tol
-            labels.append(REGIME_CAP if ok else REGIME_OVERRIDE)
-    return labels
+    return np.select(
+        [np.abs(b - target) > tol, theta < lo, theta <= hi],
+        [REGIME_OVERRIDE, REGIME_ZERO, REGIME_INTERIOR],
+        REGIME_CAP,
+    ).tolist()
 
 
 def classify_against_schedule(
@@ -288,23 +282,20 @@ def classify_against_schedule(
     overrides into its own knots).  Regions come from the schedule's cutoffs;
     note a refit-based classification via ``classify_episodes`` cannot
     represent the payout jump at T when T pins the lower cutoff, this can.
+    A shock outside the support [0, theta_bar] raises ParameterError naming
+    the first such episode (0-based index).
     """
-    if tol < 0:
-        raise ParameterError(f"tol must be >= 0, got {tol}")
+    theta, b = _as_arrays(data)
+    outside = np.flatnonzero((theta < 0.0) | (theta > params.theta_bar))
+    if outside.size:
+        i = int(outside[0])
+        raise ParameterError(
+            f"episode {i}: theta={float(theta[i])!r} lies outside the shock support "
+            f"[0, {params.theta_bar!r}]"
+        )
     cut = cutoffs(params)
-    labels = []
-    for e in data:
-        target = tlc_policy_linear(min(max(e.theta, 0.0), params.theta_bar), params)
-        ok = abs(e.b - target) <= tol
-        if not ok:
-            labels.append(REGIME_OVERRIDE)
-        elif e.theta < cut.theta_lo:
-            labels.append(REGIME_ZERO)
-        elif e.theta <= cut.theta_hi:
-            labels.append(REGIME_INTERIOR)
-        else:
-            labels.append(REGIME_CAP)
-    return labels
+    target = _tlc(theta, params.omega_b, params.c, params.omega_T, params.T, params.b_bar)
+    return _label(theta, b, target, tol, cut.theta_lo, cut.theta_hi)
 
 
 def schedule_as_fit(params: MechanismParams, n_obs: int = 0) -> TlcFit:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .policy import MechanismParams, cutoffs
+from .policy import MechanismParams, _check_theta_domain, _tlc, cutoffs
 
 __all__ = [
     "ParallelFloor",
@@ -65,7 +65,7 @@ class ParallelFloor:
             raise ParameterError(f"floor intercept must be finite, got {self.a}")
 
     def values(self, theta: np.ndarray, params: MechanismParams) -> np.ndarray:
-        return (params.omega_b * theta - params.omega_T) / params.c + self.a
+        return _tlc(theta, params.omega_b, params.c, params.omega_T, floor=-np.inf) + self.a
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def classify_floor(floor: EquityFloor, params: MechanismParams) -> str:
         if fvals.min() >= -1e-12 and fvals.max() <= params.b_bar + 1e-12:
             return SC_PARALLEL
 
-    b_int = (params.omega_b * grid - params.omega_T) / params.c
+    b_int = _tlc(grid, params.omega_b, params.c, params.omega_T, floor=-np.inf)
     if np.all(floor.values(grid, params) <= b_int + 1e-12):
         return SC_DOMINATED
     return EXTRA_KINK
@@ -152,11 +152,9 @@ def apply_equity_floor(theta, floor: EquityFloor, params: MechanismParams):
     """
     _check_floor_bounds(floor, params)
     arr = np.asarray(theta, dtype=float)
-    if np.any(arr < 0) or np.any(arr > params.theta_bar) or np.any(np.isnan(arr)):
-        raise ParameterError(f"theta must lie in [0, theta_bar]=[0, {params.theta_bar}]")
-    b_int = (params.omega_b * arr - params.omega_T) / params.c
-    raised = np.maximum(floor.values(arr, params), b_int)
-    out = np.where(arr < params.T, 0.0, np.clip(raised, 0.0, params.b_bar))
+    _check_theta_domain(arr, params)
+    lower = np.maximum(floor.values(arr, params), 0.0)
+    out = _tlc(arr, params.omega_b, params.c, params.omega_T, params.T, params.b_bar, lower)
     label = classify_floor(floor, params)
     if np.isscalar(theta) or arr.ndim == 0:
         return float(out), label

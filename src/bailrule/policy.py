@@ -56,9 +56,9 @@ BISECTION_MAX_ITER = 200
 class MechanismParams:
     """One TLC instance.
 
-    omega_b    marginal benefit per unit transfer per unit shock (> 0)
-    c          quadratic implementation-cost curvature (> 0)
-    omega_T    political shadow cost per public dollar (>= 0)
+    omega_b    marginal benefit per unit transfer per unit shock (finite, > 0)
+    c          quadratic implementation-cost curvature (finite, > 0)
+    omega_T    political shadow cost per public dollar (finite, >= 0)
     T          admissibility threshold in shock units, within [0, theta_bar]
     b_bar      consent cap on the transfer (>= 0; ``math.inf`` = uncapped)
     theta_bar  upper support bound of the shock (> 0)
@@ -74,12 +74,12 @@ class MechanismParams:
     def __post_init__(self) -> None:
         for name in ("omega_b", "c", "omega_T", "T", "b_bar", "theta_bar"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not self.omega_b > 0:
-            raise ParameterError(f"omega_b must be > 0, got {self.omega_b}")
-        if not self.c > 0:
-            raise ParameterError(f"c must be > 0, got {self.c}")
-        if not self.omega_T >= 0:
-            raise ParameterError(f"omega_T must be >= 0, got {self.omega_T}")
+        if not 0 < self.omega_b < math.inf:
+            raise ParameterError(f"omega_b must be finite and > 0, got {self.omega_b}")
+        if not 0 < self.c < math.inf:
+            raise ParameterError(f"c must be finite and > 0, got {self.c}")
+        if not 0 <= self.omega_T < math.inf:
+            raise ParameterError(f"omega_T must be finite and >= 0, got {self.omega_T}")
         if not self.theta_bar > 0 or math.isinf(self.theta_bar):
             raise ParameterError(f"theta_bar must be finite and > 0, got {self.theta_bar}")
         if not 0 <= self.T <= self.theta_bar:
@@ -133,6 +133,17 @@ def cutoffs(params: MechanismParams) -> Cutoffs:
     return Cutoffs(theta_lo=theta_lo, theta_hi=theta_hi)
 
 
+def _tlc(theta, omega_b, c, omega_T, T=-math.inf, b_bar=math.inf, floor=0.0):
+    """The one copy of the schedule: clip((omega_b * theta - omega_T) / c,
+    floor, b_bar), zeroed where theta < T, elementwise over array arguments.
+
+    floor = 0 is the TLC rule, a larger floor raises the line to it before
+    the cap (an equity floor), and floor = -inf with the defaults is the bare
+    interior line."""
+    line = (omega_b * theta - omega_T) / c
+    return np.where(theta < T, 0.0, np.clip(line, floor, b_bar))
+
+
 def _check_theta_domain(theta: np.ndarray, params: MechanismParams) -> None:
     if np.any(theta < 0) or np.any(theta > params.theta_bar) or np.any(np.isnan(theta)):
         raise ParameterError(
@@ -148,8 +159,7 @@ def tlc_policy_linear(theta, params: MechanismParams):
     """
     arr = np.asarray(theta, dtype=float)
     _check_theta_domain(arr, params)
-    interior = (params.omega_b * arr - params.omega_T) / params.c
-    out = np.where(arr < params.T, 0.0, np.clip(interior, 0.0, params.b_bar))
+    out = _tlc(arr, params.omega_b, params.c, params.omega_T, params.T, params.b_bar)
     if np.isscalar(theta) or arr.ndim == 0:
         return float(out)
     return out
@@ -299,7 +309,7 @@ def activation_derivative(params: MechanismParams, dist: "ShockDistribution") ->
             "cap segment binds at the threshold (theta_hi <= T); "
             "use numeric differentiation of the expected transfer"
         )
-    jump = (params.omega_b * params.T - params.omega_T) / params.c
+    jump = float(_tlc(params.T, params.omega_b, params.c, params.omega_T, floor=-math.inf))
     return -jump * float(dist.pdf(params.T))
 
 

@@ -1,5 +1,6 @@
 """Treasury-constrained allocation via a common shadow price."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,75 @@ def brute_lambda(problem, n=4_000_001):
         if gap < best_gap:
             best, best_gap = lam, gap
     return best
+
+
+def clearing_lambda(problem):
+    # independent oracle: municipality i demands clip((m_i - lam) / c_i, 0,
+    # b_bar_i) with m_i = omega_b * theta - omega_T, nothing below its
+    # threshold.  Walk the kink segments left to right; on each the interior
+    # set is fixed and demand = B is one linear equation.
+    live = [
+        (p.omega_b * t - p.omega_T, p.c, p.b_bar)
+        for p, t in problem.municipalities
+        if t >= p.T
+    ]
+    B = problem.treasury_limit
+    if sum(min(max(m / c, 0.0), bb) for m, c, bb in live) <= B:
+        return 0.0
+    kinks = sorted({0.0} | {k for m, c, bb in live for k in (m, m - c * bb) if k >= 0.0})
+    for lo, hi in zip(kinks, kinks[1:] + [math.inf]):
+        mid = 0.5 * (lo + hi) if hi < math.inf else lo + 1.0
+        interior = [(m, c) for m, c, bb in live if m - c * bb < mid < m]
+        capped = sum(bb for m, c, bb in live if m - c * bb >= mid)
+        if not interior:
+            if capped <= B:
+                return lo
+            continue
+        lam = (sum(m / c for m, c in interior) + capped - B) / sum(1.0 / c for _, c in interior)
+        if lam <= hi:
+            return max(lam, lo)
+    raise AssertionError("demand never clears the budget")
+
+
+def mixed_problem(rng, n):
+    # T-gated shocks, closed (b_bar = 0), uncapped and ordinary caps
+    munis = []
+    for _ in range(n):
+        theta_bar = rng.uniform(1.0, 4.0)
+        b_bar = (0.0, math.inf, rng.uniform(0.05, 1.5), rng.uniform(0.05, 1.5))[rng.integers(4)]
+        p = muni(
+            omega_b=rng.uniform(0.2, 3.0), c=rng.uniform(0.2, 4.0),
+            omega_T=rng.uniform(0.0, 1.0), T=rng.uniform(0.0, 0.5) * theta_bar,
+            b_bar=b_bar, theta_bar=theta_bar,
+        )
+        munis.append((p, rng.uniform(0.0, theta_bar)))
+    unconstrained = sum(tlc_policy_linear(t, p) for p, t in munis)
+    return AllocationProblem(tuple(munis), rng.uniform(0.0, 1.2) * unconstrained)
+
+
+def test_exact_price_matches_piecewise_linear_oracle():
+    rng = np.random.default_rng(2024)
+    binding = 0
+    for _ in range(300):
+        drawn = mixed_problem(rng, int(rng.integers(1, 25)))
+        # B = 0 prices at the last live kink, where rounding in the kernel
+        # can leave a sliver of demand that must not push the price onward
+        empty = AllocationProblem(drawn.municipalities, treasury_limit=0.0)
+        for prob in (drawn, empty):
+            got = allocate(prob).lambda_B
+            want = clearing_lambda(prob)
+            assert abs(got - want) <= 1e-12 * max(1.0, want)
+            binding += want > 0.0
+    assert binding >= 400
+
+
+def test_flat_demand_at_budget_returns_smallest_price():
+    # demand is 1.5 - lam on [0, 1], then flat at 0.5 (south sits at its cap)
+    # until lam = 1.5; every price in [1, 1.5] clears B = 0.5
+    prob = AllocationProblem(((muni(), 1.0), (muni(b_bar=0.5), 2.0)), treasury_limit=0.5)
+    res = allocate(prob)
+    assert res.lambda_B == pytest.approx(1.0, abs=1e-12)
+    assert res.allocations == pytest.approx((0.0, 0.5), abs=1e-12)
 
 
 def test_worked_binding_instance():
@@ -160,6 +230,28 @@ def test_matches_small_grid_oracle(specs, B):
     coord_tol = 2.0 * np.sqrt(2.0 * (quant_loss + 1e-9) / c_min) + 1e-9
     for b, o in zip(res.allocations, oracle.allocations):
         assert abs(b - o) <= coord_tol
+
+
+mixed_params = st.tuples(
+    st.floats(0.2, 3.0),   # omega_b
+    st.floats(0.2, 3.0),   # c
+    st.floats(0.0, 1.0),   # omega_T
+    st.floats(0.0, 2.0),   # T
+    st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 2.0)),   # b_bar
+    st.floats(0.0, 4.0),   # theta
+)
+
+
+@given(st.lists(mixed_params, min_size=1, max_size=8), st.floats(0.0, 4.0), st.floats(0.0, 4.0))
+@settings(max_examples=200, deadline=None)
+def test_price_never_rises_with_budget(specs, B, dB):
+    munis = tuple(
+        (muni(omega_b=ob, c=c, omega_T=ot, T=T, b_bar=bb, theta_bar=4.0), th)
+        for ob, c, ot, T, bb, th in specs
+    )
+    lo = allocate(AllocationProblem(munis, treasury_limit=B)).lambda_B
+    hi = allocate(AllocationProblem(munis, treasury_limit=B + dB)).lambda_B
+    assert hi <= lo
 
 
 def test_interior_slope_preserved_at_binding_budget():

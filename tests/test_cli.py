@@ -229,6 +229,13 @@ def test_audit_bad_csv_exit_1(base_cfg, tmp_path):
     assert run(["audit", "--config", base_cfg, "--data", data, "--out-dir", tmp_path]) == 1
 
 
+def test_audit_shock_outside_support_exit_1(base_cfg, tmp_path, capsys):
+    data = tmp_path / "eps.csv"
+    data.write_text("theta,b\n0.5,0.0\n1.0,0.25\n1.5,0.5\n2.0,0.5\n5.0,0.5\n")
+    assert run(["audit", "--config", base_cfg, "--data", data, "--out-dir", tmp_path]) == 1
+    assert "episode 4: theta=5.0" in capsys.readouterr().err
+
+
 # --- sweep -----------------------------------------------------------------
 
 def test_sweep_artifacts(base_cfg, tmp_path):

@@ -57,7 +57,14 @@ def test_row_errors_cite_line(tmp_path):
 def test_negative_b_rejected(tmp_path):
     path = tmp_path / "eps.csv"
     path.write_text("theta,b\n1.0,-0.5\n")
-    with pytest.raises(DataError, match="negative"):
+    with pytest.raises(DataError, match=r"eps\.csv:2: b must be finite and >= 0"):
+        read_episodes(path)
+
+
+def test_negative_theta_rejected(tmp_path):
+    path = tmp_path / "eps.csv"
+    path.write_text("theta,b\n0.5,0.1\n-1.0,0.0\n")
+    with pytest.raises(DataError, match=r"eps\.csv:3: theta must be finite and >= 0"):
         read_episodes(path)
 
 

@@ -8,6 +8,7 @@ from bailrule import (
     Episode,
     EstimationError,
     MechanismParams,
+    ParameterError,
     TlcFit,
     attribute_shift,
     classify_against_schedule,
@@ -183,6 +184,14 @@ def test_classify_against_schedule_matches_rule():
             assert lab == "interior"
         else:
             assert lab == "cap"
+
+
+def test_classify_against_schedule_rejects_out_of_support():
+    # a shock beyond theta_bar used to be clamped onto it and read as "cap"
+    p = MechanismParams(2, 4, 1, T=0.1, b_bar=0.5, theta_bar=3)
+    data = [Episode(1.0, 0.25), Episode(5.0, 0.5), Episode(-0.5, 0.0)]
+    with pytest.raises(ParameterError, match=r"episode 1: theta=5\.0"):
+        classify_against_schedule(data, p, tol=1e-9)
 
 
 # --- override detection ----------------------------------------------------

@@ -101,6 +101,13 @@ def test_params_validation():
         MechanismParams(1, 1, 0, 0, b_bar=-1, theta_bar=2)
     with pytest.raises(ParameterError):
         MechanismParams(1, 1, 0, 0, 1, theta_bar=math.inf)
+    with pytest.raises(ParameterError):
+        MechanismParams(math.inf, 1, 0, 0, 1, 1)
+    with pytest.raises(ParameterError):
+        MechanismParams(1, math.inf, 0, 0, 1, 1)
+    with pytest.raises(ParameterError):
+        MechanismParams(1, 1, math.inf, 0, 1, 1)
+    MechanismParams(1, 1, 0, 0, b_bar=math.inf, theta_bar=1)  # uncapped stays legal
 
 
 # --- closed-form policy ----------------------------------------------------
