@@ -60,7 +60,7 @@ print()
 # Under the common shadow price each city still runs a threshold-linear-cap
 # rule; who hits the cap first is readable off the adjusted cutoffs.
 print("cap-hit order under the clearing price (city, theta_hi):")
-for idx, theta_hi in cap_ordering_report(prob3):
+for idx, theta_hi in cap_ordering_report(prob3, res3.lambda_B):
     print(f"  city {idx}: theta_hi = {theta_hi:.4f}")
 print()
 

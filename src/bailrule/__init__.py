@@ -62,11 +62,11 @@ from .voting import (
 from .allocation import (
     AllocationProblem,
     AllocationResult,
-    GridOracleResult,
+    KktResiduals,
     allocate,
     allocation_objective,
     cap_ordering_report,
-    grid_oracle,
+    kkt_residuals,
 )
 from .estimation import (
     Episode,
@@ -75,9 +75,7 @@ from .estimation import (
     TlcFit,
     attribute_shift,
     classify_against_schedule,
-    classify_episodes,
     detect_override_shift,
-    default_tolerance,
     fit_tlc,
     predict,
     schedule_as_fit,

@@ -6,7 +6,9 @@ sum(b_i) <= B.  The KKT system says: charge every municipality a common
 shadow price lambda_B on top of its political cost, then let each run its own
 threshold-linear-cap rule.  Aggregate demand is piecewise linear in lambda_B
 with at most 2N kinks, so the price is solved exactly in O(N log N)
-(Helgason, Kennington & Lall 1980; Brucker 1984).
+(Helgason, Kennington & Lall 1980; Brucker 1984).  The program is strictly
+concave, so its KKT conditions certify a result: ``kkt_residuals`` checks
+them in O(N).
 """
 
 from __future__ import annotations
@@ -17,16 +19,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .policy import MechanismParams, _tlc, cutoffs, tlc_policy_linear
+from .policy import MechanismParams, _tlc, tlc_policy_linear
 
 __all__ = [
     "AllocationProblem",
     "AllocationResult",
-    "GridOracleResult",
+    "KktResiduals",
     "allocate",
     "allocation_objective",
     "cap_ordering_report",
-    "grid_oracle",
+    "kkt_residuals",
 ]
 
 @dataclass(frozen=True)
@@ -77,6 +79,13 @@ def _shifted(params: MechanismParams, lam: float) -> MechanismParams:
     return replace(params, omega_T=params.omega_T + lam) if lam else params
 
 
+def _columns(problem: AllocationProblem) -> np.ndarray:
+    """Rows omega_b, c, omega_T, T, b_bar, theta, one column per municipality."""
+    return np.array(
+        [(p.omega_b, p.c, p.omega_T, p.T, p.b_bar, t) for p, t in problem.municipalities]
+    ).T
+
+
 def allocate(problem: AllocationProblem) -> AllocationResult:
     """Budget-feasible optimum at the exact clearing shadow price.
 
@@ -88,9 +97,7 @@ def allocate(problem: AllocationProblem) -> AllocationResult:
     lambda_B, in O(log N) vectorized demand evaluations.
     """
     B = problem.treasury_limit
-    omega_b, c, omega_T, T, b_bar, theta = np.array(
-        [(p.omega_b, p.c, p.omega_T, p.T, p.b_bar, t) for p, t in problem.municipalities]
-    ).T
+    omega_b, c, omega_T, T, b_bar, theta = _columns(problem)
 
     def demand(lam: float) -> float:
         return float(_tlc(theta, omega_b, c, omega_T + lam, T, b_bar).sum())
@@ -140,62 +147,80 @@ def allocation_objective(problem: AllocationProblem, allocations) -> float:
 
 
 @dataclass(frozen=True)
-class GridOracleResult:
-    """Best grid point found by :func:`grid_oracle` plus the axis step sizes."""
+class KktResiduals:
+    """KKT residuals of an allocation; within rounding of 0 iff it is optimal.
 
-    allocations: tuple
-    objective: float
-    grid_steps: tuple
+    Each residual is divided by the size of the terms it is made of, so one
+    tolerance holds whatever the unit of money.  With the stationarity gap
+    g_i = omega_b * theta_i - omega_T - lambda_B - c_i * b_i:
 
-
-def grid_oracle(
-    problem: AllocationProblem, points_per_axis: int = 200
-) -> GridOracleResult:
-    """Brute-force reference maximizer on a box grid (self-check aid).
-
-    Searches the product grid over [0, local unconstrained optimum] per
-    municipality, discarding budget-infeasible combos.  Exponential in the
-    number of municipalities, so callers should keep that at three or fewer.
-    The reported objective is within first-order quantization loss of the
-    true maximum; when the budget binds, individual coordinates may sit a
-    few steps from the true optimum (the argmax trades whole steps between
-    axes), so compare values, not coordinates.
+    budget_excess  max(sum(b) - B, 0) / max(1, B)
+    slackness      lambda_B * (B - sum(b)) / max(1, lambda_B * B)
+    stationarity   worst violation over municipalities, each divided by
+                   max(1, omega_b * theta_i, omega_T + lambda_B): |g_i|
+                   strictly inside (0, b_bar_i), max(g_i, 0) at b_i = 0,
+                   max(-g_i, 0) at the cap, nothing when b_bar_i = 0 or
+                   theta_i < T_i.  A transfer outside [0, b_bar_i], one paid
+                   below the threshold, or a negative price counts as inf.
     """
-    if len(problem.municipalities) > 3:
-        raise ParameterError("grid_oracle is practical only for <= 3 municipalities")
-    axes = []
-    for p, theta in problem.municipalities:
-        hi = tlc_policy_linear(theta, p)  # optimum never exceeds the local rule
-        axes.append(np.linspace(0.0, hi, points_per_axis))
-    steps = tuple(ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in axes)
 
-    grids = np.meshgrid(*axes, indexing="ij")
-    total = np.zeros_like(grids[0])
-    objective = np.zeros_like(grids[0])
-    for (p, theta), g in zip(problem.municipalities, grids):
-        total += g
-        objective += (p.omega_b * theta - p.omega_T) * g - 0.5 * p.c * g * g
-    objective = np.where(total <= problem.treasury_limit + 1e-12, objective, -np.inf)
-    flat = int(np.argmax(objective))
-    idx = np.unravel_index(flat, objective.shape)
-    best = tuple(float(ax[i]) for ax, i in zip(axes, idx))
-    return GridOracleResult(
-        allocations=best, objective=float(objective[idx]), grid_steps=steps
+    budget_excess: float
+    slackness: float
+    stationarity: float
+
+    def within(self, tol: float) -> bool:
+        """True iff every residual is at most tol (slackness in absolute value)."""
+        return (
+            self.budget_excess <= tol
+            and abs(self.slackness) <= tol
+            and self.stationarity <= tol
+        )
+
+
+def kkt_residuals(problem: AllocationProblem, result: AllocationResult) -> KktResiduals:
+    """KKT residuals of ``result`` for ``problem`` in one O(N) array pass."""
+    omega_b, c, omega_T, T, b_bar, theta = _columns(problem)
+    b = np.array(result.allocations, dtype=float)
+    lam = result.lambda_B
+    gated = theta < T
+    g = omega_b * theta - omega_T - lam - c * b
+    violation = np.select(
+        [
+            (b < 0.0) | (b > b_bar) | (gated & (b != 0.0)),
+            gated | (b_bar == 0.0),
+            b == 0.0,
+            b == b_bar,
+        ],
+        [np.inf, 0.0, np.maximum(g, 0.0), np.maximum(-g, 0.0)],
+        np.abs(g),
+    )
+    scale = np.maximum(np.maximum(1.0, omega_b * theta), omega_T + lam)
+    B, total = problem.treasury_limit, result.total
+    return KktResiduals(
+        # an unlimited treasury is never exceeded, and inf / inf would be nan
+        budget_excess=max(total - B, 0.0) / max(1.0, B),
+        # lambda_B > 0 only when demand at 0 exceeds B, so B is finite there
+        slackness=lam * (B - total) / max(1.0, lam * B) if lam else 0.0,
+        stationarity=float((violation / scale).max()) if lam >= 0.0 else np.inf,
     )
 
 
-def cap_ordering_report(problem: AllocationProblem) -> list[tuple[int, float]]:
-    """Cap-hit cutoffs theta_hi_i under the clearing shadow price, ascending.
+def cap_ordering_report(
+    problem: AllocationProblem, lambda_B: float | None = None
+) -> list[tuple[int, float]]:
+    """Cap-hit cutoffs theta_hi_i under the shadow price lambda_B, ascending.
 
-    Returns (municipality index, theta_hi) pairs sorted by cutoff; with
-    otherwise equal parameters, a tighter cap or lower political cost means
-    an earlier cap hit.  Municipalities with infinite caps sort last.
+    Returns (municipality index, theta_hi) pairs sorted by cutoff, ties by
+    index; with otherwise equal parameters, a tighter cap or lower political
+    cost means an earlier cap hit.  Municipalities with infinite caps sort
+    last.  Pass the price of the caller's ``allocate`` result; without one
+    the problem is solved first.
     """
-    result = allocate(problem)
-    lam = result.lambda_B
-    entries = [
-        (i, cutoffs(_shifted(p, lam)).theta_hi)
-        for i, (p, _theta) in enumerate(problem.municipalities)
-    ]
-    entries.sort(key=lambda e: (e[1], e[0]))
-    return entries
+    if lambda_B is None:
+        lambda_B = allocate(problem).lambda_B
+    omega_b, c, omega_T, T, b_bar, _theta = _columns(problem)
+    shifted = omega_T + lambda_B
+    # the operation order of policy.cutoffs on the shifted rule
+    theta_hi = np.maximum(np.maximum(T, shifted / omega_b), (shifted + c * b_bar) / omega_b)
+    order = np.argsort(theta_hi, kind="stable")
+    return list(zip(order.tolist(), theta_hi[order].tolist()))

@@ -2,10 +2,12 @@
 
 Subcommands: ``rulecard`` (publish the schedule), ``simulate`` (synthetic
 episode data), ``audit`` (fit + compliance report + plot), ``sweep``
-(cutoff/cap trajectories over a parameter), ``allocate`` (treasury split).
+(cutoff/cap trajectories over a parameter), ``allocate`` (treasury split;
+``--strict`` appends the KKT certificate of the split, at any number of
+municipalities).
 
 Exit codes: 0 success; 1 config/data validation error; 2 estimation or
-numerical failure (or a failed self-check under ``allocate --strict``);
+numerical failure (or a failed KKT certificate under ``allocate --strict``);
 3 signature-check failure under ``audit --strict``.
 
 All artifacts are deterministic: fixed seeds drive all randomness, floats
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import allocate, allocation_objective, cap_ordering_report, grid_oracle
+from .allocation import allocate, cap_ordering_report, kkt_residuals
 from .configfile import (
     build_allocation_problem,
     build_distribution,
@@ -213,32 +215,19 @@ def cmd_allocate(args) -> int:
     cfg = load_config(args.config)
     problem, names = build_allocation_problem(cfg)
     result = allocate(problem)
-    ordering = cap_ordering_report(problem)
+    ordering = cap_ordering_report(problem, result.lambda_B)
     text = render_allocation_text(names, problem, result, ordering)
+    out = _out_dir(args)
     if args.strict:
-        if len(problem.municipalities) > 3:
-            raise ConfigError("--strict grid self-check supports at most 3 municipalities")
-        oracle = grid_oracle(problem)
-        value = allocation_objective(problem, result.allocations)
-        # snapping the optimum to the grid loses at most gradient * step per axis
-        quant_loss = sum(
-            (p.omega_b * t + p.c * tlc_policy_linear(t, p)) * step
-            for (p, t), step in zip(problem.municipalities, oracle.grid_steps)
-        )
-        ok = (
-            value >= oracle.objective - 1e-9
-            and oracle.objective >= value - quant_loss - 1e-9
-        )
+        ok = kkt_residuals(problem, result).within(1e-9)
         text += (
-            "\nself-check (grid oracle): "
-            + ("agreement within quantization tolerance\n" if ok else "DISAGREEMENT\n")
+            "\nself-check (KKT certificate): "
+            + ("agreement within tolerance\n" if ok else "DISAGREEMENT\n")
         )
         if not ok:
-            out = _out_dir(args)
             _write(out / "allocation.txt", text)
-            print("error: allocation disagrees with grid oracle", file=sys.stderr)
+            print("error: allocation fails its KKT certificate", file=sys.stderr)
             return 2
-    out = _out_dir(args)
     _write(out / "allocation.txt", text)
     return 0
 
@@ -281,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", help="split a treasury across municipalities")
     common(p)
-    p.add_argument("--strict", action="store_true", help="run the brute-force self-check")
+    p.add_argument("--strict", action="store_true", help="check the KKT certificate")
     p.set_defaults(func=cmd_allocate)
     return parser
 

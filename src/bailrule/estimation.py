@@ -10,11 +10,11 @@ then flat at s * (theta2 - theta1).  ``fit_tlc`` profiles the slope out (it
 has a closed form per knot pair) and searches knot pairs exhaustively over a
 candidate set; the search is O(K^2) with O(1) per pair via suffix sums.
 
-Downstream: ``classify_episodes`` labels each episode zero / interior / cap /
-override against a fit; ``detect_override_shift`` refits with a cap-region
-dummy to surface systematic cap-breaking; ``attribute_shift`` decomposes knot
-movement between two fitted regimes into implied political-cost and cap
-changes.
+Downstream: ``classify_against_schedule`` labels each episode zero /
+interior / cap / override against the published schedule;
+``detect_override_shift`` refits with a cap-region dummy to surface
+systematic cap-breaking; ``attribute_shift`` decomposes knot movement between
+two fitted regimes into implied political-cost and cap changes.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ __all__ = [
     "ShiftAttribution",
     "fit_tlc",
     "predict",
-    "default_tolerance",
-    "classify_episodes",
     "classify_against_schedule",
     "schedule_as_fit",
     "detect_override_shift",
@@ -73,13 +71,11 @@ class TlcFit:
 
     cap_level is the implied plateau s * (theta2 - theta1).  grid_resolution
     is the uniform knot-grid step used in the search; fitted knots are only
-    trustworthy to roughly that scale.  pred_tol_floor bounds the prediction
-    slack attributable to knot quantization (slope times the local candidate
-    spacing around each chosen knot) — classification tolerances should not
-    go below it.  ``structural`` records the caller's declaration that the
-    payouts come from a linear-benefit rule, in which case s estimates the
-    benefit/cost ratio; under a general concave benefit the interior segment
-    is only a monotone approximation and s has no structural reading.
+    trustworthy to roughly that scale.  ``structural`` records the caller's
+    declaration that the payouts come from a linear-benefit rule, in which
+    case s estimates the benefit/cost ratio; under a general concave benefit
+    the interior segment is only a monotone approximation and s has no
+    structural reading.
     """
 
     s: float
@@ -90,7 +86,6 @@ class TlcFit:
     t_admissible: float
     grid_resolution: float
     residual_se: float = 0.0
-    pred_tol_floor: float = 0.0
     degenerate: bool = False
     no_interior: bool = False
     structural: bool = True
@@ -211,17 +206,8 @@ def fit_tlc(
         slope, fitted = 0.0, np.zeros_like(b)
         sse = float(b @ b)
 
-    def local_gap(i: int) -> float:
-        gaps = []
-        if i > 0:
-            gaps.append(cand[i] - cand[i - 1])
-        if i + 1 < cand.size:
-            gaps.append(cand[i + 1] - cand[i])
-        return float(max(gaps)) if gaps else 0.0
-
     n = len(data)
     residual_se = math.sqrt(sse / max(n - 3, 1))
-    pred_floor = slope * (local_gap(j) + local_gap(k))
     return TlcFit(
         s=slope,
         theta1=t1,
@@ -231,44 +217,10 @@ def fit_tlc(
         t_admissible=t_admissible,
         grid_resolution=resolution,
         residual_se=residual_se,
-        pred_tol_floor=pred_floor,
         degenerate=all_zero,
         no_interior=(t1 == t2),
         structural=linear_benefit,
     )
-
-
-def default_tolerance(fit: TlcFit) -> float:
-    """Compliance tolerance: twice the residual scale, floored by knot
-    quantization slack so perfectly compliant data never reads as override."""
-    return max(2.0 * fit.residual_se, fit.pred_tol_floor, 1e-9)
-
-
-def classify_episodes(
-    data: Sequence[Episode], fit: TlcFit, tol: float | None = None
-) -> list[str]:
-    """Label each episode zero / interior / cap / override against a fit.
-
-    zero: below theta1 with no payout; interior: on the fitted line within
-    tol; cap: above theta2 on the plateau within tol; override: anything
-    else.
-    """
-    if tol is None:
-        tol = default_tolerance(fit)
-    theta, b = _as_arrays(data)
-    return _label(theta, b, predict(theta, fit), tol, fit.theta1, fit.theta2)
-
-
-def _label(theta, b, target, tol, lo, hi) -> list[str]:
-    """override where |b - target| > tol, else zero / interior / cap by
-    whether theta lies below lo, in [lo, hi], or above hi."""
-    if tol < 0:
-        raise ParameterError(f"tol must be >= 0, got {tol}")
-    return np.select(
-        [np.abs(b - target) > tol, theta < lo, theta <= hi],
-        [REGIME_OVERRIDE, REGIME_ZERO, REGIME_INTERIOR],
-        REGIME_CAP,
-    ).tolist()
 
 
 def classify_against_schedule(
@@ -279,11 +231,13 @@ def classify_against_schedule(
     This is the compliance half of an audit: the published parameters are the
     commitment, so deviations are judged against them, not against a curve
     re-estimated from possibly contaminated data (a refit absorbs systematic
-    overrides into its own knots).  Regions come from the schedule's cutoffs;
-    note a refit-based classification via ``classify_episodes`` cannot
-    represent the payout jump at T when T pins the lower cutoff, this can.
-    A shock outside the support [0, theta_bar] raises ParameterError naming
-    the first such episode (0-based index).
+    overrides into its own knots).  An episode is an override where |b -
+    schedule(theta)| > tol, else zero / interior / cap by whether theta lies
+    below, within or above the schedule's cutoffs; unlike a hinge-spline fit,
+    the schedule represents the payout jump at T when T pins the lower
+    cutoff.  A negative tol, or a shock outside the support [0, theta_bar],
+    raises ParameterError, the latter naming the first such episode (0-based
+    index).
     """
     theta, b = _as_arrays(data)
     outside = np.flatnonzero((theta < 0.0) | (theta > params.theta_bar))
@@ -293,9 +247,15 @@ def classify_against_schedule(
             f"episode {i}: theta={float(theta[i])!r} lies outside the shock support "
             f"[0, {params.theta_bar!r}]"
         )
+    if tol < 0:
+        raise ParameterError(f"tol must be >= 0, got {tol}")
     cut = cutoffs(params)
     target = _tlc(theta, params.omega_b, params.c, params.omega_T, params.T, params.b_bar)
-    return _label(theta, b, target, tol, cut.theta_lo, cut.theta_hi)
+    return np.select(
+        [np.abs(b - target) > tol, theta < cut.theta_lo, theta <= cut.theta_hi],
+        [REGIME_OVERRIDE, REGIME_ZERO, REGIME_INTERIOR],
+        REGIME_CAP,
+    ).tolist()
 
 
 def schedule_as_fit(params: MechanismParams, n_obs: int = 0) -> TlcFit:
@@ -315,7 +275,6 @@ def schedule_as_fit(params: MechanismParams, n_obs: int = 0) -> TlcFit:
         t_admissible=params.T,
         grid_resolution=0.0,
         residual_se=0.0,
-        pred_tol_floor=0.0,
     )
 
 

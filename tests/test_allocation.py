@@ -1,6 +1,7 @@
 """Treasury-constrained allocation via a common shadow price."""
 
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from bailrule import (
     allocation_objective,
     cap_ordering_report,
     cutoffs,
-    grid_oracle,
+    kkt_residuals,
     tlc_policy_linear,
 )
 
@@ -31,16 +32,33 @@ def two_city(B):
 def brute_lambda(problem, n=4_000_001):
     # independent oracle: scan a dense lambda grid for the budget-clearing price
     lams = np.linspace(0.0, max(p.omega_b * t for p, t in problem.municipalities), n)
-    best, best_gap = 0.0, np.inf
-    for lam in lams:
-        total = sum(
-            tlc_policy_linear(t, replace(p, omega_T=p.omega_T + lam))
-            for p, t in problem.municipalities
-        )
-        gap = abs(total - problem.treasury_limit)
-        if gap < best_gap:
-            best, best_gap = lam, gap
-    return best
+    total = np.zeros(n)
+    for p, t in problem.municipalities:
+        b = np.clip((p.omega_b * t - (p.omega_T + lams)) / p.c, 0.0, p.b_bar)
+        total += np.where(t >= p.T, b, 0.0)
+    return float(lams[np.argmin(np.abs(total - problem.treasury_limit))])
+
+
+GridBest = namedtuple("GridBest", "allocations objective grid_steps")
+
+
+def grid_oracle(problem, points_per_axis):
+    # brute-force reference maximizer on the box grid [0, local optimum] per
+    # municipality, budget-infeasible combos discarded; exponential in the
+    # number of municipalities, so keep that at three or fewer
+    axes = [np.linspace(0.0, tlc_policy_linear(t, p), points_per_axis)
+            for p, t in problem.municipalities]
+    steps = tuple(ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in axes)
+    grids = np.meshgrid(*axes, indexing="ij")
+    total = np.zeros_like(grids[0])
+    objective = np.zeros_like(grids[0])
+    for (p, theta), g in zip(problem.municipalities, grids):
+        total += g
+        objective += (p.omega_b * theta - p.omega_T) * g - 0.5 * p.c * g * g
+    objective = np.where(total <= problem.treasury_limit + 1e-12, objective, -np.inf)
+    idx = np.unravel_index(int(np.argmax(objective)), objective.shape)
+    best = tuple(float(ax[i]) for ax, i in zip(axes, idx))
+    return GridBest(best, float(objective[idx]), steps)
 
 
 def clearing_lambda(problem):
@@ -96,10 +114,20 @@ def test_exact_price_matches_piecewise_linear_oracle():
         # can leave a sliver of demand that must not push the price onward
         empty = AllocationProblem(drawn.municipalities, treasury_limit=0.0)
         for prob in (drawn, empty):
-            got = allocate(prob).lambda_B
+            res = allocate(prob)
+            got = res.lambda_B
             want = clearing_lambda(prob)
             assert abs(got - want) <= 1e-12 * max(1.0, want)
             binding += want > 0.0
+            # the array pass equals the scalar rule at the shifted cost
+            scalar = [tlc_policy_linear(t, replace(p, omega_T=p.omega_T + got))
+                      for p, t in prob.municipalities]
+            assert res.allocations == tuple(scalar)
+            assert res.flags == tuple(
+                "zero" if b == 0.0 else "cap" if b == p.b_bar
+                else "budget" if got > 0.0 else "interior"
+                for (p, _), b in zip(prob.municipalities, scalar)
+            )
     assert binding >= 400
 
 
@@ -152,11 +180,63 @@ def test_cap_flags():
     assert res.allocations[0] == 0.3
 
 
+def test_kkt_certificate_flags_perturbed_results():
+    # three interior municipalities under a binding budget
+    munis = ((muni(), 2.0), (muni(), 3.0), (muni(c=2.0), 3.0))
+    prob = AllocationProblem(munis, treasury_limit=2.0)
+    res = allocate(prob)
+    assert res.lambda_B > 0.0 and set(res.flags) == {"budget"}
+    assert kkt_residuals(prob, res).within(1e-9)
+
+    moved = list(res.allocations)
+    moved[0] -= 0.01
+    moved[1] += 0.01
+    kkt = kkt_residuals(prob, replace(res, allocations=tuple(moved)))
+    assert kkt.budget_excess <= 1e-9  # the total is unchanged
+    # the first gap moves by 0.01 on the scale omega_b * theta = 2
+    assert kkt.stationarity >= 0.01 / 2 - 1e-12
+    assert not kkt.within(1e-9)
+
+    off = kkt_residuals(prob, replace(res, lambda_B=res.lambda_B + 1e-3))
+    assert off.stationarity >= 1e-3 / 2 - 1e-12
+    assert not off.within(1e-9)
+
+
+@pytest.mark.parametrize("unit", [1e3, 1e4])
+def test_kkt_certificate_holds_in_large_money_units(unit):
+    # the same economy in a smaller unit of money: benefits, political costs,
+    # caps and budget grow by `unit`, and so does the rounding in the solve
+    base = mixed_problem(np.random.default_rng(17), 20_000)
+    prob = AllocationProblem(
+        tuple(
+            (replace(p, omega_b=p.omega_b * unit, omega_T=p.omega_T * unit,
+                     b_bar=p.b_bar * unit), t)
+            for p, t in base.municipalities
+        ),
+        base.treasury_limit * unit,
+    )
+    res = allocate(prob)
+    assert res.lambda_B > 0.0
+    assert kkt_residuals(prob, res).within(1e-9)
+
+
+def test_kkt_certificate_gated_and_closed_municipalities():
+    gated = muni(T=1.5)
+    closed = muni(b_bar=0.0)
+    prob = AllocationProblem(((gated, 1.0), (closed, 2.0), (muni(), 2.0)), treasury_limit=1.0)
+    res = allocate(prob)
+    assert res.allocations[:2] == (0.0, 0.0)
+    assert kkt_residuals(prob, res).within(1e-9)
+    # paying the gated municipality at all breaks the certificate
+    paid = replace(res, allocations=(1e-6,) + res.allocations[1:])
+    assert kkt_residuals(prob, paid).stationarity == math.inf
+
+
 def test_cap_ordering_tighter_cap_first():
     a = replace(muni(), b_bar=0.2)
     b = replace(muni(), b_bar=0.5)
     prob = AllocationProblem(((b, 1.0), (a, 1.0)), treasury_limit=10.0)
-    order = cap_ordering_report(prob)
+    order = cap_ordering_report(prob, allocate(prob).lambda_B)
     assert order[0][0] == 1  # the b_bar=0.2 municipality caps out first
 
 
@@ -164,7 +244,7 @@ def test_cap_ordering_costlier_later():
     cheap = replace(muni(), omega_T=0.1, b_bar=0.5)
     costly = replace(muni(), omega_T=0.3, b_bar=0.5)
     prob = AllocationProblem(((cheap, 1.0), (costly, 1.0)), treasury_limit=10.0)
-    order = cap_ordering_report(prob)
+    order = cap_ordering_report(prob, allocate(prob).lambda_B)
     assert order[0][0] == 0
     assert order[0][1] < order[1][1]
 
@@ -268,7 +348,7 @@ def test_interior_slope_preserved_at_binding_budget():
 def test_ordering_matches_direct_cutoffs(specs, B):
     prob = build_problem(specs, B)
     lam = allocate(prob).lambda_B
-    order = cap_ordering_report(prob)
+    order = cap_ordering_report(prob, lam)
     want = sorted(
         (
             (i, cutoffs(replace(p, omega_T=p.omega_T + lam)).theta_hi)
@@ -277,3 +357,4 @@ def test_ordering_matches_direct_cutoffs(specs, B):
         key=lambda e: (e[1], e[0]),
     )
     assert order == want
+    assert cap_ordering_report(prob) == want  # solves for the price itself

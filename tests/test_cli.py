@@ -229,6 +229,15 @@ def test_audit_bad_csv_exit_1(base_cfg, tmp_path):
     assert run(["audit", "--config", base_cfg, "--data", data, "--out-dir", tmp_path]) == 1
 
 
+def test_audit_negative_tol_exit_1(base_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    run(["simulate", "--config", base_cfg, "--seed", 3, "--out-dir", out])
+    code = run(["audit", "--config", base_cfg, "--data", out / "episodes.csv",
+                "--tol", -0.1, "--out-dir", out])
+    assert code == 1
+    assert "tol must be >= 0" in capsys.readouterr().err
+
+
 def test_audit_shock_outside_support_exit_1(base_cfg, tmp_path, capsys):
     data = tmp_path / "eps.csv"
     data.write_text("theta,b\n0.5,0.0\n1.0,0.25\n1.5,0.5\n2.0,0.5\n5.0,0.5\n")
@@ -259,6 +268,27 @@ def test_allocate_worked_instance(tmp_path):
     text = (out / "allocation.txt").read_text()
     assert "shadow price" in text
     assert "agreement" in text  # strict self-check line
+
+
+def test_allocate_strict_many_municipalities(tmp_path):
+    # T-gated shocks, closed (b_bar = 0), uncapped and ordinary caps
+    sections = ["[treasury]\nbudget = 30.0\n"]
+    for i in range(40):
+        T = 2.5 if i % 5 == 0 else 0.0
+        b_bar = ("10.0", "0.0", "inf", "0.3", "1.5")[i % 5]
+        sections.append(
+            f"[municipality m{i:02d}]\nomega_b = {1.0 + 0.05 * i}\nc = {1.0 + 0.1 * (i % 7)}\n"
+            f"omega_T = {0.02 * (i % 9)}\nT = {T}\nb_bar = {b_bar}\ntheta_bar = 4.0\n"
+            f"theta = {0.1 * (i % 37)}\n"
+        )
+    cfg = tmp_path / "many.cfg"
+    cfg.write_text("\n".join(sections))
+    out = tmp_path / "out"
+    assert run(["allocate", "--config", cfg, "--strict", "--out-dir", out]) == 0
+    text = (out / "allocation.txt").read_text()
+    assert "agreement" in text
+    for flag in (" zero", " cap", " budget"):
+        assert flag in text
 
 
 def test_allocate_slack_budget(tmp_path):

@@ -12,7 +12,6 @@ from bailrule import (
     TlcFit,
     attribute_shift,
     classify_against_schedule,
-    classify_episodes,
     cutoffs,
     detect_override_shift,
     fit_tlc,
@@ -158,16 +157,6 @@ def test_predict_matches_hinge():
 
 FIT_STD = TlcFit(s=1.0, theta1=0.5, theta2=1.5, sse=0.0, n_obs=21,
                  t_admissible=0.0, grid_resolution=0.01)
-
-
-def test_classify_worked_labels():
-    data = [Episode(0.3, 0.0), Episode(1.0, 0.5), Episode(1.8, 1.7)]
-    labels = classify_episodes(data, FIT_STD, tol=0.01)
-    assert labels == ["zero", "interior", "override"]
-
-
-def test_classify_cap():
-    assert classify_episodes([Episode(1.9, 1.0)], FIT_STD, tol=0.01) == ["cap"]
 
 
 def test_classify_against_schedule_matches_rule():

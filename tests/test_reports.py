@@ -198,6 +198,8 @@ def test_allocation_text_lists_municipalities():
     p = MechanismParams(1, 1, 0, T=0, b_bar=10, theta_bar=10)
     prob = AllocationProblem(((p, 1.0), (p, 2.0)), treasury_limit=1.0)
     res = allocate(prob)
-    text = render_allocation_text(["north", "south"], prob, res, cap_ordering_report(prob))
+    text = render_allocation_text(
+        ["north", "south"], prob, res, cap_ordering_report(prob, res.lambda_B)
+    )
     assert "north" in text and "south" in text
     assert "shadow price" in text
