@@ -42,7 +42,7 @@ from .errors import (
     NumericalInconsistencyError,
     ParameterError,
 )
-from .estimation import Episode, predict
+from .estimation import predict
 from .floors import apply_equity_floor
 from .policy import cutoffs, screened_payout, tlc_policy_linear
 from .reporting import (
@@ -135,9 +135,8 @@ def cmd_simulate(args) -> int:
     if args.noise > 0:
         b = np.maximum(b + rng.normal(0.0, args.noise, size=n), 0.0)
 
-    episodes = [Episode(t, v) for t, v in zip(theta, b)]
     out = _out_dir(args)
-    write_episodes(out / "episodes.csv", episodes)
+    write_episodes(out / "episodes.csv", theta, b)
     print(f"wrote {out / 'episodes.csv'}")
     return 0
 

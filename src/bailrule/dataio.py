@@ -1,18 +1,21 @@
 """Episode CSV files: header ``theta,b`` with an optional ``regime`` column.
 
-UTF-8, LF line endings, full-precision floats via repr.  Readers reject NaN
-and negative values with errors naming the offending row; these files are
-the only data interchange surface, so the contract is enforced strictly.
+UTF-8, LF line endings, full-precision floats via repr.  The writer takes
+episodes as columns (``theta``, ``b`` and, when given, ``regime``) and
+rejects what ``Episode`` rejects (non-finite theta; b not finite or < 0);
+the reader returns a list of ``Episode`` and also rejects negative theta.
+Errors name the offending row; these files are the only data interchange
+surface, so the contract is enforced strictly.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
-from typing import Sequence
 
-from .errors import DataError
+import numpy as np
+
+from .errors import DataError, ParameterError
 from .estimation import Episode
 
 __all__ = ["read_episodes", "write_episodes", "episodes_to_csv"]
@@ -62,21 +65,46 @@ def read_episodes(path) -> list:
         raise DataError(f"{path}: cannot read data: {exc}") from None
 
 
-def episodes_to_csv(episodes: Sequence[Episode], include_regime: bool = False) -> str:
-    """Render episodes as CSV text (LF, repr floats)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if include_regime:
-        writer.writerow(["theta", "b", "regime"])
-        for e in episodes:
-            writer.writerow([repr(e.theta), repr(e.b), e.regime or ""])
-    else:
-        writer.writerow(["theta", "b"])
-        for e in episodes:
-            writer.writerow([repr(e.theta), repr(e.b)])
-    return buf.getvalue()
+def _check_columns(theta, b) -> None:
+    """The checks ``Episode`` makes, on whole columns: theta finite, b finite
+    and >= 0; the error names the first offending row (0-based)."""
+    if theta.ndim != 1 or theta.shape != b.shape:
+        raise ParameterError(
+            f"theta and b must be 1-D columns of one length, got {theta.shape} and {b.shape}"
+        )
+    bad_theta = ~np.isfinite(theta)
+    bad_b = ~(np.isfinite(b) & (b >= 0.0))
+    bad = bad_theta | bad_b
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_theta[i]:
+            raise ParameterError(f"episode {i}: theta must be finite, got {theta[i]}")
+        raise ParameterError(f"episode {i}: b must be finite and >= 0, got {b[i]}")
 
 
-def write_episodes(path, episodes: Sequence[Episode], include_regime: bool = False) -> None:
+def episodes_to_csv(theta, b, regime=None) -> str:
+    """Render episode columns as CSV text (LF, repr floats); the ``regime``
+    column is written exactly when ``regime`` is given (None entries blank)."""
+    theta = np.asarray(theta, dtype=float)
+    b = np.asarray(b, dtype=float)
+    _check_columns(theta, b)
+    if regime is None:
+        rows = (f"{t!r},{v!r}\n" for t, v in zip(theta.tolist(), b.tolist()))
+        return "theta,b\n" + "".join(rows)
+    regime = [r or "" for r in regime]
+    if len(regime) != len(theta):
+        raise ParameterError(f"regime has {len(regime)} rows, theta has {len(theta)}")
+    for i, r in enumerate(regime):
+        if any(ch in r for ch in ',"\r\n'):
+            raise ParameterError(
+                f"episode {i}: regime {r!r} may not contain a comma, quote or line break"
+            )
+    rows = (f"{t!r},{v!r},{r}\n" for t, v, r in zip(theta.tolist(), b.tolist(), regime))
+    return "theta,b,regime\n" + "".join(rows)
+
+
+def write_episodes(path, theta, b, regime=None) -> None:
+    """Write episode columns to ``path``; nothing is written if a check fails."""
+    text = episodes_to_csv(theta, b, regime)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(episodes_to_csv(episodes, include_regime=include_regime))
+        fh.write(text)

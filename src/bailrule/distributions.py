@@ -1,8 +1,13 @@
 """Shock distributions on a bounded support [0, theta_bar].
 
-Thin wrappers around scipy frozen distributions so the rest of the package
-can stay agnostic about the family.  Each exposes pdf/cdf/ppf/rvs plus the
-support bound; ``hazard`` is a free function because it is family-agnostic.
+Each family is written once on the unit interval x = theta / theta_bar, in
+closed form with numpy and ``math``; the base class rescales it to
+[0, theta_bar] and owns the edges: the pdf is 0 outside the support, the
+cdf is 0 below it and 1 above it, the ppf of a probability outside [0, 1]
+is nan, and a scalar in gives a scalar out.  Only the beta cdf and ppf need
+special functions: they import ``scipy.special`` when called, so importing
+this module loads no scipy.  ``hazard`` is a free function because it is
+family-agnostic.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from .errors import ParameterError
 
@@ -23,67 +27,137 @@ __all__ = [
 ]
 
 
+def _positive_finite(**values) -> None:
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ParameterError(f"{name} must be finite and > 0, got {value}")
+
+
 class ShockDistribution:
-    """Base: a continuous shock with support [0, theta_bar]."""
+    """Base: a continuous shock with support [0, theta_bar].
+
+    A family gives its density, cdf and ppf on the unit interval (``_pdf``,
+    ``_cdf``, ``_ppf``), its mean there (``_mean``) and a draw of ``size``
+    points there (``_draws``); ``_cdf`` must be exactly 0 at 0 and 1 at 1.
+    """
 
     theta_bar: float
 
-    def __init__(self, theta_bar: float, frozen) -> None:
+    def __init__(self, theta_bar: float) -> None:
         theta_bar = float(theta_bar)
-        if not theta_bar > 0 or not math.isfinite(theta_bar):
-            raise ParameterError(f"theta_bar must be finite and > 0, got {theta_bar}")
+        _positive_finite(theta_bar=theta_bar)
         self.theta_bar = theta_bar
-        self._frozen = frozen
 
     def pdf(self, theta):
-        return self._frozen.pdf(theta)
+        x = np.asarray(theta, dtype=float) / self.theta_bar
+        with np.errstate(divide="ignore"):
+            inner = self._pdf(np.clip(x, 0.0, 1.0)) / self.theta_bar
+        return np.where((x < 0.0) | (x > 1.0), 0.0, inner)[()]
 
     def cdf(self, theta):
-        return self._frozen.cdf(theta)
+        x = np.asarray(theta, dtype=float) / self.theta_bar
+        return self._cdf(np.clip(x, 0.0, 1.0))[()]
 
     def ppf(self, q):
-        return self._frozen.ppf(q)
+        q = np.asarray(q, dtype=float)
+        inner = (q > 0.0) & (q < 1.0)
+        x = self.theta_bar * self._ppf(np.where(inner, q, 0.5))
+        return np.select([inner, q == 0.0, q == 1.0], [x, 0.0, self.theta_bar], np.nan)[()]
 
     # quantile == generalized inverse of the cdf; alias kept for callers that
     # speak distribution-theory rather than scipy.
     quantile = ppf
 
     def rvs(self, size: int, rng: np.random.Generator):
-        return self._frozen.rvs(size=size, random_state=rng)
+        return self.theta_bar * self._draws(size, rng)
 
     def mean(self) -> float:
-        return float(self._frozen.mean())
+        return self.theta_bar * self._mean()
 
 
 class UniformShock(ShockDistribution):
     """Uniform on [0, theta_bar]."""
 
-    def __init__(self, theta_bar: float) -> None:
-        super().__init__(theta_bar, stats.uniform(loc=0.0, scale=float(theta_bar)))
+    def _pdf(self, x):
+        return np.where(np.isnan(x), np.nan, 1.0)
+
+    def _cdf(self, x):
+        return x
+
+    def _ppf(self, q):
+        return q
+
+    def _draws(self, size, rng):
+        return rng.uniform(0.0, 1.0, size)
+
+    def _mean(self) -> float:
+        return 0.5
 
 
 class TruncatedExponentialShock(ShockDistribution):
     """Exponential with the given rate, truncated to [0, theta_bar]."""
 
     def __init__(self, rate: float, theta_bar: float) -> None:
+        super().__init__(theta_bar)
         rate = float(rate)
-        if not rate > 0:
-            raise ParameterError(f"rate must be > 0, got {rate}")
+        self._k = rate * self.theta_bar  # the rate on the unit interval
+        _positive_finite(rate=rate, rate_times_theta_bar=self._k)
         self.rate = rate
-        super().__init__(
-            theta_bar, stats.truncexpon(b=rate * float(theta_bar), scale=1.0 / rate)
-        )
+        self._em1 = math.expm1(-self._k)  # -P(untruncated shock <= theta_bar)
+
+    def _pdf(self, x):
+        return self._k * np.exp(-self._k * x) / -self._em1
+
+    def _cdf(self, x):
+        return np.expm1(-self._k * x) / self._em1
+
+    def _ppf(self, q):
+        return -np.log1p(q * self._em1) / self._k
+
+    def _draws(self, size, rng):
+        return self._ppf(rng.uniform(size=size))
+
+    def _mean(self) -> float:
+        k = self._k
+        return (1.0 - (k + 1.0) * math.exp(-k)) / -self._em1 / k
 
 
 class BetaShock(ShockDistribution):
     """Beta(a, b) rescaled to [0, theta_bar]."""
 
     def __init__(self, a: float, b: float, theta_bar: float) -> None:
+        super().__init__(theta_bar)
         a, b = float(a), float(b)
-        if not (a > 0 and b > 0):
-            raise ParameterError(f"beta shape parameters must be > 0, got a={a}, b={b}")
+        _positive_finite(a=a, b=b)
         self.a, self.b = a, b
-        super().__init__(theta_bar, stats.beta(a, b, loc=0.0, scale=float(theta_bar)))
+        self._log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    def _pdf(self, x):
+        # log form, so large shapes neither overflow the normalizer nor
+        # multiply inf by 0; a shape of exactly 1 contributes x**0 = 1
+        log_x = (self.a - 1.0) * np.log(x) if self.a != 1.0 else 0.0
+        log_y = (self.b - 1.0) * np.log1p(-x) if self.b != 1.0 else 0.0
+        return np.exp(log_x + log_y - self._log_beta)
+
+    def _cdf(self, x):
+        from scipy.special import betainc
+
+        return betainc(self.a, self.b, x)
+
+    def _ppf(self, q):
+        from scipy.special import betaincinv
+
+        x = betaincinv(self.a, self.b, q)
+        # betaincinv gives up (nan) in the far lower tail, q < ~1e-120, where
+        # I_x(a, b) = x**a / (a * B(a, b)) * (1 + O(x)) inverts in closed form
+        tail = np.exp((np.log(q) + math.log(self.a) + self._log_beta) / self.a)
+        return np.where(np.isnan(x), tail, x)
+
+    def _draws(self, size, rng):
+        return rng.beta(self.a, self.b, size)
+
+    def _mean(self) -> float:
+        return self.a / (self.a + self.b)
 
 
 def hazard(theta, dist: ShockDistribution):

@@ -1,6 +1,11 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +176,25 @@ def test_simulate_with_floor(tmp_path):
     assert lifted  # the floor pays where the base rule would not
 
 
+@pytest.mark.parametrize(
+    "section",
+    ["family = truncexpon\nrate = inf", "family = beta\na = inf\nb = 2.0",
+     "family = beta\na = 2.0\nb = inf"],
+    ids=["truncexpon-rate", "beta-a", "beta-b"],
+)
+def test_simulate_infinite_shock_parameter_exit_1(tmp_path, capsys, section):
+    text = BASE + f"\n[distribution]\n{section}\n"
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", cfg, "--seed", 1, "--out-dir", out]) == 1
+    line = text.splitlines().index("[distribution]") + 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:{line}: invalid [distribution]" in err
+    assert "must be finite" in err
+    assert not (out / "episodes.csv").exists()
+
+
 # --- audit -----------------------------------------------------------------
 
 def test_audit_round_trip_clean(base_cfg, tmp_path, capsys):
@@ -325,3 +349,62 @@ def test_out_dir_env_var(base_cfg, tmp_path, monkeypatch):
     assert (env_out / "rulecard.json").exists()
     card = json.loads((env_out / "rulecard.json").read_text())
     assert card["theta_lo"] == 0.5
+
+
+# --- cold start: no scipy on the command-line path ---------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python(code, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    proc = _python(
+        """
+        import sys
+        import bailrule.cli
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_commands_run_without_scipy(tmp_path):
+    rule = tmp_path / "rule.cfg"
+    rule.write_text(BASE + "\n[sweep]\nparameter = omega_T\nstart = 0.5\nstop = 2.0\nsteps = 7\n")
+    configs = {"uniform": rule}
+    for family, params in (("truncexpon", "rate = 0.7"), ("beta", "a = 2.0\nb = 3.0")):
+        configs[family] = tmp_path / f"{family}.cfg"
+        configs[family].write_text(BASE + f"\n[distribution]\nfamily = {family}\n{params}\n")
+    alloc = tmp_path / "alloc.cfg"
+    alloc.write_text(ALLOC)
+    commands = [["rulecard", "--config", rule]]
+    commands += [["simulate", "--config", cfg, "--seed", 3, "--noise", 0.01,
+                  "--out-dir", tmp_path / family] for family, cfg in configs.items()]
+    commands += [
+        ["audit", "--config", rule, "--data", tmp_path / "uniform" / "episodes.csv"],
+        ["sweep", "--config", rule],
+        ["allocate", "--config", alloc, "--strict"],
+    ]
+    argvs = [[str(a) for a in cmd] for cmd in commands]
+    proc = _python(
+        f"""
+        import sys
+        sys.modules["scipy"] = None  # any scipy import now raises ImportError
+        from bailrule.cli import main
+        codes = [main(argv) for argv in {argvs!r}]
+        print(codes)
+        sys.exit(any(codes))
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == str([0] * len(argvs))

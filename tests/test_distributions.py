@@ -95,3 +95,107 @@ def test_invalid_parameters():
         TruncatedExponentialShock(rate=-1.0, theta_bar=1.0)
     with pytest.raises(ParameterError):
         BetaShock(0.0, 1.0, theta_bar=1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TruncatedExponentialShock(rate=np.inf, theta_bar=1.0),
+        lambda: TruncatedExponentialShock(rate=np.nan, theta_bar=1.0),
+        lambda: TruncatedExponentialShock(rate=1e300, theta_bar=1e10),
+        lambda: BetaShock(np.inf, 2.0, theta_bar=1.0),
+        lambda: BetaShock(2.0, np.inf, theta_bar=1.0),
+        lambda: BetaShock(np.nan, 2.0, theta_bar=1.0),
+        lambda: UniformShock(np.inf),
+    ],
+    ids=["rate-inf", "rate-nan", "rate-overflow", "beta-a-inf", "beta-b-inf", "beta-a-nan",
+         "theta_bar-inf"],
+)
+def test_non_finite_shape_parameters_rejected(make):
+    with pytest.raises(ParameterError, match="must be finite"):
+        make()
+
+
+# --- closed forms against scipy.stats ------------------------------------------
+
+# (our distribution, the scipy.stats frozen distribution it must equal)
+SCIPY_PAIRS = {
+    "uniform": (lambda: UniformShock(1.0), lambda st: st.uniform(loc=0.0, scale=1.0)),
+    "uniform-3": (lambda: UniformShock(3.0), lambda st: st.uniform(loc=0.0, scale=3.0)),
+    "truncexpon": (lambda: TruncatedExponentialShock(rate=2.0, theta_bar=1.5),
+                   lambda st: st.truncexpon(b=3.0, scale=0.5)),
+    "truncexpon-flat": (lambda: TruncatedExponentialShock(rate=0.3, theta_bar=4.0),
+                        lambda st: st.truncexpon(b=0.3 * 4.0, scale=1.0 / 0.3)),
+    "truncexpon-steep": (lambda: TruncatedExponentialShock(rate=25.0, theta_bar=2.0),
+                         lambda st: st.truncexpon(b=50.0, scale=1.0 / 25.0)),
+    "beta": (lambda: BetaShock(2.0, 5.0, theta_bar=2.0),
+             lambda st: st.beta(2.0, 5.0, loc=0.0, scale=2.0)),
+    "beta-u": (lambda: BetaShock(0.5, 0.7, theta_bar=1.3),
+               lambda st: st.beta(0.5, 0.7, loc=0.0, scale=1.3)),
+    "beta-a1": (lambda: BetaShock(1.0, 3.0, theta_bar=1.0),
+                lambda st: st.beta(1.0, 3.0, loc=0.0, scale=1.0)),
+    "beta-b1": (lambda: BetaShock(3.0, 1.0, theta_bar=2.5),
+                lambda st: st.beta(3.0, 1.0, loc=0.0, scale=2.5)),
+}
+TRUNCEXPON = [name for name in SCIPY_PAIRS if name.startswith("truncexpon")]
+UNIFORM_AND_BETA = [name for name in SCIPY_PAIRS if name not in TRUNCEXPON]
+
+
+def _with_scipy(name):
+    from scipy import stats  # the oracle; the package itself never imports scipy.stats
+
+    make, make_ref = SCIPY_PAIRS[name]
+    return make(), make_ref(stats)
+
+
+@pytest.mark.parametrize("name", SCIPY_PAIRS)
+def test_closed_forms_match_scipy(name):
+    dist, ref = _with_scipy(name)
+    tb = dist.theta_bar
+    theta = np.concatenate(
+        [[-1.0, -1e-12, 0.0, 1e-14, tb * (1 - 1e-15), tb, tb * (1 + 1e-15), tb + 1.0, np.nan],
+         np.linspace(0.0, tb, 401)]
+    )
+    q = np.concatenate(
+        [[-0.5, -1e-300, 0.0, 1e-12, 1.0 - 1e-12, 1.0, 1.0 + 1e-15, 2.0, np.nan],
+         np.linspace(0.0, 1.0, 401)]
+    )
+    for method, x in (("pdf", theta), ("cdf", theta), ("ppf", q)):
+        got, want = getattr(dist, method)(x), getattr(ref, method)(x)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=method)
+        for xi in x[:9]:  # scalar in, scalar out, same value
+            one = getattr(dist, method)(xi)
+            assert np.ndim(one) == 0 and not isinstance(one, np.ndarray)
+            np.testing.assert_allclose(one, getattr(ref, method)(xi), rtol=1e-12, atol=0.0)
+    assert isinstance(dist.mean(), float)
+    assert dist.mean() == pytest.approx(float(ref.mean()), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", UNIFORM_AND_BETA)
+@pytest.mark.parametrize("seed", [0, 1, 42, 2024])
+def test_uniform_and_beta_draws_equal_scipy_bitwise(name, seed):
+    dist, ref = _with_scipy(name)
+    got = dist.rvs(2000, np.random.default_rng(seed))
+    want = ref.rvs(2000, random_state=np.random.default_rng(seed))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", TRUNCEXPON)
+@pytest.mark.parametrize("seed", [0, 1, 42, 2024])
+def test_truncexpon_draws_match_scipy_to_a_few_ulp(name, seed):
+    # numpy's log1p/expm1 stand in for scipy's, and the draw is scaled from
+    # the unit interval, so single draws may move by a few ulp
+    dist, ref = _with_scipy(name)
+    got = dist.rvs(2000, np.random.default_rng(seed))
+    want = ref.rvs(2000, random_state=np.random.default_rng(seed))
+    np.testing.assert_array_max_ulp(got, want, maxulp=8)
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 5.0), (3.0, 200.0), (5.0, 0.05)])
+@pytest.mark.parametrize("q", [1e-100, 1e-200, 1e-300])
+def test_beta_ppf_inverts_cdf_in_far_lower_tail(a, b, q):
+    # below q ~ 1e-120 the incomplete-beta root finder gives up for these shapes
+    d = BetaShock(a, b, theta_bar=1.0)
+    x = d.ppf(q)
+    assert 0.0 < x < 1.0
+    assert d.cdf(x) == pytest.approx(q, rel=1e-12)
