@@ -1,11 +1,10 @@
 """Episode CSV files: header ``theta,b`` with an optional ``regime`` column.
 
 UTF-8, LF line endings, full-precision floats via repr.  The writer takes
-episodes as columns (``theta``, ``b`` and, when given, ``regime``) and
-rejects what ``Episode`` rejects (non-finite theta; b not finite or < 0);
-the reader returns a list of ``Episode`` and also rejects negative theta.
-Errors name the offending row; these files are the only data interchange
-surface, so the contract is enforced strictly.
+episodes as columns (``theta``, ``b`` and, when given, ``regime``); it and
+the reader, which returns a list of ``Episode``, reject the same rows: theta
+or b not finite or < 0.  Errors name the offending row; these files are the
+only data interchange surface, so the contract is enforced strictly.
 """
 
 from __future__ import annotations
@@ -66,19 +65,19 @@ def read_episodes(path) -> list:
 
 
 def _check_columns(theta, b) -> None:
-    """The checks ``Episode`` makes, on whole columns: theta finite, b finite
-    and >= 0; the error names the first offending row (0-based)."""
+    """The reader's checks on whole columns: theta and b finite and >= 0; the
+    error names the first offending row (0-based)."""
     if theta.ndim != 1 or theta.shape != b.shape:
         raise ParameterError(
             f"theta and b must be 1-D columns of one length, got {theta.shape} and {b.shape}"
         )
-    bad_theta = ~np.isfinite(theta)
+    bad_theta = ~(np.isfinite(theta) & (theta >= 0.0))
     bad_b = ~(np.isfinite(b) & (b >= 0.0))
     bad = bad_theta | bad_b
     if bad.any():
         i = int(np.argmax(bad))
         if bad_theta[i]:
-            raise ParameterError(f"episode {i}: theta must be finite, got {theta[i]}")
+            raise ParameterError(f"episode {i}: theta must be finite and >= 0, got {theta[i]}")
         raise ParameterError(f"episode {i}: b must be finite and >= 0, got {b[i]}")
 
 

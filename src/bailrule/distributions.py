@@ -118,8 +118,10 @@ class TruncatedExponentialShock(ShockDistribution):
         return self._ppf(rng.uniform(size=size))
 
     def _mean(self) -> float:
-        k = self._k
-        return (1.0 - (k + 1.0) * math.exp(-k)) / -self._em1 / k
+        k = self._k  # the mean is 1/k - 1/expm1(k), which cancels as k -> 0
+        if k <= 0.05:
+            return 0.5 - k / 12.0 + k**3 / 720.0 - k**5 / 30240.0
+        return 1.0 / k + math.exp(-k) / self._em1
 
 
 class BetaShock(ShockDistribution):

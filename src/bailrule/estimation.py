@@ -7,8 +7,8 @@ The regression model is a two-knot hinge spline with one shared slope,
 
 whose fitted shape is exactly a TLC schedule: zero, then linear with slope s,
 then flat at s * (theta2 - theta1).  ``fit_tlc`` profiles the slope out (it
-has a closed form per knot pair) and searches knot pairs exhaustively over a
-candidate set; the search is O(K^2) with O(1) per pair via suffix sums.
+has a closed form per knot pair) and finds the best candidate knot pair by a
+branch-and-bound that returns what an exhaustive O(K^2) scan would.
 
 Downstream: ``classify_against_schedule`` labels each episode zero /
 interior / cap / override against the published schedule;
@@ -20,7 +20,7 @@ two fitted regimes into implied political-cost and cap changes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -75,7 +75,8 @@ class TlcFit:
     declaration that the payouts come from a linear-benefit rule, in which
     case s estimates the benefit/cost ratio; under a general concave benefit
     the interior segment is only a monotone approximation and s has no
-    structural reading.
+    structural reading.  ``search`` holds the knot search's counters (blocks,
+    leaf pairs, bound gap); it stays out of equality, repr and artifacts.
     """
 
     s: float
@@ -89,6 +90,7 @@ class TlcFit:
     degenerate: bool = False
     no_interior: bool = False
     structural: bool = True
+    search: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def cap_level(self) -> float:
@@ -118,6 +120,71 @@ def _candidate_knots(theta: np.ndarray, t_admissible: float, knot_grid: int) -> 
     return np.unique(cand)
 
 
+_LEAF, _CHUNK = 16, 256  # leaves hold <= 16 x 16 knot pairs; 256 leaves per pass
+_SLACK = 1e-7            # relative: covers the rounding of the bound itself
+_ULPS = 2.0**-46         # 64 rounding units: error allowance per unit magnitude
+
+
+def _knot_search(ts, bs, cand, idx, q_floor, gain):
+    """Branch-and-bound (Land & Doig 1960) for the pair j <= k of largest
+    ``gain``, then smallest (j, k); returns it and (blocks, leaf pairs, gap).
+
+    A block [j1..j2] x [k1..k2] relaxes Hudson's (1966) profiled hinge to zero
+    for theta <= c[j1], a free line on (c[j2], c[k1]], a free constant above
+    c[k2] and anything between.  sum(b^2) - SSE_relax, widened by the rounding
+    error of ``gain``'s a and q (q >= n_top * (c[k1] - c[j2])^2 and > q_floor
+    in the block), bounds every gain computed there; the gap is the largest
+    dropped bound over the winning gain, minus 1.
+    """
+    n, K, u = ts.size, cand.size, ts - 0.5 * (ts[0] + ts[-1])  # u: centred theta
+    P = np.pad(np.cumsum(np.array([u, u * u, bs, u * bs, bs * bs]), axis=1), ((0, 0), (1, 0)))
+    Pu, Puu, Pb, Pub, Pbb = P
+    tau, R = 1e-7 * Puu[-1], np.abs(cand).max()  # an sxx below tau is rounding
+
+    def bound(j1, j2, k1, k2):
+        lo, mid, hi, top = idx[j1], idx[j2], np.maximum(idx[k1], idx[j2]), idx[k2]
+        m, n_top = hi - mid, n - top  # m = 0: a diagonal block has no affine set
+        Su, Suu, Sb, Sub, Sbb = P[:, hi] - P[:, mid]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sxx, sxy = Suu - Su * Su / m, Sub - Su * Sb / m
+            affine = np.where(sxx > tau, Sb * Sb / m + sxy * sxy / sxx, Sbb)
+            const = np.where(n_top > 0, (Pb[n] - Pb[top]) ** 2 / n_top, 0.0)
+        ub = np.maximum(Pbb[top] - Pbb[lo] - Sbb + affine + const, 0.0)
+        ub += np.where(Pb[n] > Pb[lo], _ULPS * (n - lo + 2) * (Pbb[n] + Pb[n]), 0.0)
+        dq, da = _ULPS * (n - lo) * R * R, _ULPS * (Pb[n] - Pb[lo]) * R
+        q_lb = np.maximum(np.maximum(cand[k1] - cand[j2], 0.0) ** 2 * (n - hi) - dq, q_floor)
+        return (np.sqrt(ub * (1.0 + dq / q_lb)) + da / np.sqrt(q_lb)) ** 2
+
+    def live(ub):
+        return (ub > 0.0) & (ub >= inc * (1.0 - _SLACK))
+    inc, dropped, best, visited, pairs = 0.0, 0.0, (0.0, 0), 0, 0  # best: (gain, -j*K-k)
+    dj, dk = np.divmod(np.arange(_LEAF**2), _LEAF)
+    blocks = np.array([[0], [K - 1], [0], [K - 1]])
+    while blocks.size:
+        j1, j2, k1, k2 = blocks
+        jm, km = (j1 + j2) // 2, (k1 + k2) // 2
+        inc = max(inc, float(gain(jm, np.maximum(km, jm)).max()))  # block centres
+        ub, visited = bound(j1, j2, k1, k2), visited + j1.size
+        # leaves pair by pair; an evaluated leaf's bound is retired to -1
+        leaf = (j2 - j1 < _LEAF) & (k2 - k1 < _LEAF)
+        for sel in np.split(np.flatnonzero(leaf), range(_CHUNK, int(leaf.sum()), _CHUNK)):
+            sel = sel[live(ub[sel])]
+            if not sel.size:
+                continue
+            J, Kk = j1[sel, None] + dj, k1[sel, None] + dk
+            ok = (J <= j2[sel, None]) & (Kk <= k2[sel, None]) & (J <= Kk)
+            J, Kk = J[ok], Kk[ok]
+            g = gain(J, Kk)
+            best = max(best, (float(g.max()), -int((J * K + Kk)[g == g.max()].min())))
+            inc, pairs, ub[sel] = max(inc, best[0]), pairs + g.size, -1.0
+        dropped = max(dropped, float(ub.max(initial=0.0, where=~live(ub))))
+        j1, j2, k1, k2, jm, km = (v[live(ub) & ~leaf] for v in (j1, j2, k1, k2, jm, km))
+        a1, a2, c1, c2 = blocks = np.hstack([[j1, jm, k1, km], [j1, jm, km + 1, k2],
+                                             [jm + 1, j2, k1, km], [jm + 1, j2, km + 1, k2]])
+        blocks = blocks[:, (a1 <= a2) & (c1 <= c2) & (a1 <= c2)]
+    return divmod(-best[1], K), (visited, pairs, dropped / best[0] - 1 if best[0] else -1.0)
+
+
 def predict(theta, fit: TlcFit):
     """Fitted schedule at ``theta``: clip(s * (clip(theta,t1,t2) - t1), >= 0)."""
     arr = np.asarray(theta, dtype=float)
@@ -136,10 +203,14 @@ def fit_tlc(
 
     For fixed knots the regressor is x_i = (theta_i - t1)_+ - (theta_i - t2)_+
     and the nonnegative LS slope is max(0, <x,b>/<x,x>); minimizing SSE over
-    pairs is equivalent to maximizing <x,b>^2/<x,x>, which suffix sums give
-    in O(1) per pair.  Ties break to the smallest theta1, then theta2.
-    Fitted values are clipped at zero after estimation (vacuous here since
-    s and x are nonnegative, but part of the contract).
+    pairs is maximizing the gain <x,b>^2/<x,x>, O(1) per pair from suffix
+    sums.  ``_knot_search`` bounds blocks of pairs by a relaxed hinge, widened
+    by rounding, and returns the pair a scan of all pairs would: the largest
+    gain, ties to the smallest theta1, then theta2, both at the first
+    candidate if no gain is positive.  b is scaled by a power of two first
+    (exact: no knot moves); EstimationError is raised if s or the SSE
+    overflow a float when scaled back.  Fitted values are clipped at zero
+    (vacuous here since s and x are nonnegative, but part of the contract).
 
     Set ``linear_benefit=False`` when the payouts are believed to come from a
     general concave benefit; the fit is unchanged but flagged non-structural.
@@ -157,38 +228,28 @@ def fit_tlc(
     span = max(float(theta.max()) - t_admissible, 0.0)
     resolution = span / (knot_grid - 1) if span > 0 else 0.0
 
+    e = math.frexp(float(b.max()))[1]
+    b = np.ldexp(b, -e)  # exact: no knot moves, and b^2 and the gains stay finite
     order = np.argsort(theta, kind="stable")
     ts, bs = theta[order], b[order]
 
-    def suffix(values: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.cumsum(values[::-1])[::-1], [0.0]])
-
     idx = np.searchsorted(ts, cand, side="right")
-    s0 = suffix(np.ones_like(ts))[idx]
-    s_th = suffix(ts)[idx]
-    s_th2 = suffix(ts * ts)[idx]
-    s_b = suffix(bs)[idx]
-    s_bth = suffix(bs * ts)[idx]
+    suffix = np.cumsum(np.array([np.ones_like(ts), ts, ts * ts, bs, bs * ts])[:, ::-1], axis=1)
+    s0, s_th, s_th2, s_b, s_bth = np.pad(suffix[:, ::-1], ((0, 0), (0, 1)))[:, idx]
 
     p = s_bth - cand * s_b                                # sum (theta-t)_+ b
     q = s_th2 - 2.0 * cand * s_th + cand * cand * s0      # sum (theta-t)_+^2
-
     q_floor = 1e-12 * max(float(q[0]), 1.0)
-    best_gain = 0.0
-    best = (0, 0)
-    for j in range(cand.size):
-        tj = cand[j]
-        a_row = p[j] - p[j:]
-        r_row = s_th2[j:] - (tj + cand[j:]) * s_th[j:] + tj * cand[j:] * s0[j:]
-        q_row = q[j] + q[j:] - 2.0 * r_row
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = np.where((q_row > q_floor) & (a_row > 0.0), a_row * a_row / q_row, 0.0)
-        k = int(np.argmax(gain))
-        if gain[k] > best_gain:
-            best_gain = float(gain[k])
-            best = (j, j + k)
 
-    j, k = best
+    def gain(j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        tj, tk = cand[j], cand[k]
+        a = p[j] - p[k]
+        r = s_th2[k] - (tj + tk) * s_th[k] + tj * tk * s0[k]
+        qq = q[j] + q[k] - 2.0 * r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((qq > q_floor) & (a > 0.0), a * a / qq, 0.0)
+
+    (j, k), search = _knot_search(ts, bs, cand, idx, q_floor, gain)
     t1, t2 = float(cand[j]), float(cand[k])
 
     # Recompute the winning pair directly: the ranking form sum(b^2) - gain
@@ -196,15 +257,12 @@ def fit_tlc(
     x = np.clip(theta, t1, t2) - t1
     xx = float(x @ x)
     slope = max(0.0, float(x @ b) / xx) if xx > q_floor else 0.0
-    fitted = np.maximum(slope * x, 0.0)
-    resid = b - fitted
+    resid = b - np.maximum(slope * x, 0.0)
     sse = float(resid @ resid)
-
-    all_zero = bool(np.all(b == 0.0))
-    if best_gain == 0.0:
-        t1 = t2 = float(cand[0])
-        slope, fitted = 0.0, np.zeros_like(b)
-        sse = float(b @ b)
+    with np.errstate(over="ignore"):
+        slope, sse = float(np.ldexp(slope, e)), float(np.ldexp(sse, 2 * e))
+    if not (math.isfinite(slope) and math.isfinite(sse)):
+        raise EstimationError("the fit overflows a float at payouts this large")
 
     n = len(data)
     residual_se = math.sqrt(sse / max(n - 3, 1))
@@ -217,9 +275,10 @@ def fit_tlc(
         t_admissible=t_admissible,
         grid_resolution=resolution,
         residual_se=residual_se,
-        degenerate=all_zero,
+        degenerate=bool(np.all(b == 0.0)),
         no_interior=(t1 == t2),
         structural=linear_benefit,
+        search=search,
     )
 
 

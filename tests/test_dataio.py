@@ -121,6 +121,18 @@ def test_writer_rejects_what_episode_rejects(tmp_path, theta, b, message):
     assert not path.exists()
 
 
+def test_writer_rejects_negative_theta_the_reader_would_reject(tmp_path):
+    # a file the package writes must read back: same check, reader's wording
+    path = tmp_path / "eps.csv"
+    with pytest.raises(ParameterError, match=r"episode 0: theta must be finite and >= 0"):
+        write_episodes(path, [-1.0, 0.5], [0.0, 0.1])
+    assert not path.exists()
+    with pytest.raises(ParameterError, match=r"episode 2: theta must be finite and >= 0"):
+        episodes_to_csv([0.0, 0.5, -1e-300], [0.0, 0.1, 0.2])
+    write_episodes(path, [0.0, 0.5], [0.0, 0.1])
+    assert [e.theta for e in read_episodes(path)] == [0.0, 0.5]
+
+
 def test_writer_names_first_bad_row():
     with pytest.raises(ParameterError, match=r"episode 1: b must"):
         episodes_to_csv([1.0, 2.0, math.nan], [0.1, -0.1, 0.1])

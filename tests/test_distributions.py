@@ -199,3 +199,14 @@ def test_beta_ppf_inverts_cdf_in_far_lower_tail(a, b, q):
     x = d.ppf(q)
     assert 0.0 < x < 1.0
     assert d.cdf(x) == pytest.approx(q, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1e-8, 1e-6, 1e-4, 1e-2, 0.05, 0.1, 1.0, 10.0, 800.0])
+def test_truncexpon_mean_accurate_at_any_unit_rate(k):
+    # k = rate * theta_bar; the closed form 1/k - 1/expm1(k) cancels as k -> 0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        kk = mpmath.mpf(k)
+        want = float(1 / kk - 1 / mpmath.expm1(kk))  # the unit-interval mean
+    got = TruncatedExponentialShock(rate=k, theta_bar=1.0).mean()
+    assert abs(got - want) <= 1e-14 * want

@@ -1,5 +1,8 @@
 """Two-knot hinge-spline estimation, classification, overrides, attribution."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +22,7 @@ from bailrule import (
     schedule_as_fit,
     tlc_policy_linear,
 )
+from bailrule.estimation import _candidate_knots
 
 
 def hinge_eval(theta, s, t1, t2):
@@ -145,6 +149,127 @@ def test_scale_equivariance(k):
     assert f1.theta1 == pytest.approx(f0.theta1, abs=1e-12)
     assert f1.theta2 == pytest.approx(f0.theta2, abs=1e-12)
     assert f1.cap_level == pytest.approx(k * f0.cap_level, rel=1e-9)
+
+
+def exhaustive_fit(data, t_admissible, knot_grid=201):
+    """The reference search: every candidate pair, one row of pairs per theta1.
+
+    This is the O(K^2) row scan ``fit_tlc`` ran before its branch-and-bound,
+    on unscaled payouts.  It returns (theta1, theta2, s, sse), which the
+    branch-and-bound must reproduce bitwise.
+    """
+    theta = np.array([e.theta for e in data])
+    b = np.array([e.b for e in data])
+    cand = _candidate_knots(theta, float(t_admissible), knot_grid)
+    order = np.argsort(theta, kind="stable")
+    ts, bs = theta[order], b[order]
+    idx = np.searchsorted(ts, cand, side="right")
+    s0, s_th, s_th2, s_b, s_bth = (
+        np.concatenate([np.cumsum(v[::-1])[::-1], [0.0]])[idx]
+        for v in (np.ones_like(ts), ts, ts * ts, bs, bs * ts)
+    )
+    p = s_bth - cand * s_b
+    q = s_th2 - 2.0 * cand * s_th + cand * cand * s0
+    q_floor = 1e-12 * max(float(q[0]), 1.0)
+    best_gain, best = 0.0, (0, 0)
+    for j in range(cand.size):
+        tj = cand[j]
+        a_row = p[j] - p[j:]
+        r_row = s_th2[j:] - (tj + cand[j:]) * s_th[j:] + tj * cand[j:] * s0[j:]
+        q_row = q[j] + q[j:] - 2.0 * r_row
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.where((q_row > q_floor) & (a_row > 0.0), a_row * a_row / q_row, 0.0)
+        k = int(np.argmax(gain))
+        if gain[k] > best_gain:
+            best_gain, best = float(gain[k]), (j, j + k)
+    t1, t2 = float(cand[best[0]]), float(cand[best[1]])
+    x = np.clip(theta, t1, t2) - t1
+    xx = float(x @ x)
+    s = max(0.0, float(x @ b) / xx) if xx > q_floor else 0.0
+    resid = b - np.maximum(s * x, 0.0)
+    return t1, t2, s, float(resid @ resid)
+
+
+def oracle_instance(kind, seed):
+    """One seeded fit problem: (episodes, t_admissible, knot_grid)."""
+    rng = np.random.default_rng([seed, ORACLE_KINDS.index(kind)])
+    n = int(rng.choice([4, 5, 12, 40, 120, 300] if kind != "large" else [1000, 1500]))
+    th = rng.uniform(0.0, 2.0, n)
+    if kind == "ties":
+        th = np.round(th, 1)
+    t1, t2 = np.sort(rng.uniform(0.0, 2.0, 2))
+    b = rng.uniform(0.2, 3.0) * (np.clip(th, t1, t2) - t1)
+    T = float(rng.choice([0.0, 0.2, 0.7]))
+    if kind == "override":
+        b = b + rng.uniform(0.1, 0.2) * (th > t2) * (rng.random(n) < rng.uniform(0.03, 0.3))
+    elif kind == "noise":
+        b = np.abs(rng.normal(0.0, 1.0, n))
+    elif kind == "zero":
+        b = np.zeros(n)
+    elif kind == "step":  # the cap binds at T: a jump, so near-tied narrow pairs
+        b = rng.uniform(0.3, 1.0) * (th > T)
+    elif kind == "above-top":  # every shock at or below T: a single candidate
+        T = float(th.max()) + float(rng.choice([0.0, 0.5]))
+    sigma = float(rng.choice([0.0, 0.0, 0.005, 0.02, 0.1, 0.3]))
+    b = np.maximum(b + rng.normal(0.0, sigma, n), 0.0)
+    if np.unique(th).size < 2:
+        th[0] = th[0] + 0.5
+    grid = int(rng.choice([201, 201, 41, 2]))
+    return [Episode(t, v) for t, v in zip(th, b)], T, grid
+
+
+ORACLE_KINDS = ["hinge", "ties", "override", "noise", "zero", "step", "above-top", "large"]
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_branch_and_bound_matches_exhaustive_search_bitwise(kind):
+    seeds = range(8) if kind == "large" else range(42)
+    for seed in seeds:
+        data, T, grid = oracle_instance(kind, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_tlc(data, t_admissible=T, knot_grid=grid)
+        got = (fit.theta1, fit.theta2, fit.s, fit.sse)
+        assert got == exhaustive_fit(data, T, grid), (kind, seed)
+        blocks, pairs, gap = fit.search
+        assert blocks >= 1 and pairs >= 0 and gap < 0.0, (kind, seed)
+
+
+@given(st.integers(-900, 900), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_knots_bitwise_invariant_under_power_of_two_payout_scaling(k, seed):
+    data, T, grid = oracle_instance("hinge", seed)
+    f0 = fit_tlc(data, t_admissible=T, knot_grid=grid)
+    scaled = [Episode(e.theta, math.ldexp(e.b, k)) for e in data]
+    with np.errstate(over="ignore"):
+        sse = float(np.ldexp(f0.sse, 2 * k))
+    if not math.isfinite(sse):
+        with pytest.raises(EstimationError, match="overflows"):
+            fit_tlc(scaled, t_admissible=T, knot_grid=grid)
+        return
+    f1 = fit_tlc(scaled, t_admissible=T, knot_grid=grid)
+    assert (f1.theta1, f1.theta2) == (f0.theta1, f0.theta2)
+    assert (f1.s, f1.sse) == (float(np.ldexp(f0.s, k)), sse)
+
+
+def test_huge_payouts_keep_unit_scale_knots_or_raise():
+    # b^2 overflowed in the gains and the SSE: knots (0, 0.0033), sse = inf
+    th = np.linspace(0.0, 2.0, 300)
+    unit = np.clip(th, 0.8, 1.6) - 0.8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_tlc([Episode(t, 1e150 * v) for t, v in zip(th, unit)], t_admissible=0.0)
+        assert (fit.theta1, fit.theta2) == (0.8, 1.6)
+        assert math.isfinite(fit.sse) and fit.s == pytest.approx(1e150)
+        with pytest.raises(EstimationError, match="overflows a float"):
+            fit_tlc([Episode(t, 1e300 * v) for t, v in zip(th, unit)], t_admissible=0.0)
+
+
+def test_search_counters_stay_out_of_equality_and_repr():
+    data = synth(1.0, 0.5, 1.5, np.arange(0, 2.01, 0.1))
+    fit = fit_tlc(data, t_admissible=0.0)
+    assert len(fit.search) == 3 and "search" not in repr(fit)
+    assert fit == TlcFit(**{**fit.__dict__, "search": ()})
 
 
 def test_predict_matches_hinge():
