@@ -28,7 +28,6 @@ from .policy import (
     screened_payout,
     tlc_policy_general,
     tlc_policy_linear,
-    validate_marginal_benefit,
     welfare_wedge_shift,
 )
 from .distributions import (
@@ -70,6 +69,7 @@ from .allocation import (
 )
 from .estimation import (
     Episode,
+    EpisodeTable,
     OverrideReport,
     ShiftAttribution,
     TlcFit,

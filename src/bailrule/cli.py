@@ -34,7 +34,7 @@ from .configfile import (
     build_weight_profile,
     load_config,
 )
-from .dataio import read_episodes, write_episodes
+from .dataio import episodes_to_csv, read_episodes, write_episodes
 from .errors import (
     ConfigError,
     DataError,
@@ -46,7 +46,6 @@ from .estimation import predict
 from .floors import apply_equity_floor
 from .policy import cutoffs, screened_payout, tlc_policy_linear
 from .reporting import (
-    classification_csv,
     render_allocation_text,
     render_audit_text,
     run_audit,
@@ -119,8 +118,8 @@ def cmd_simulate(args) -> int:
     beta = cfg.get_float(sim, "screening_beta", np.inf) if sim else np.inf
     if n < 1:
         raise ConfigError(f"{cfg.path}: simulate n must be >= 1, got {n}")
-    if args.noise < 0:
-        raise ParameterError(f"noise must be >= 0, got {args.noise}")
+    if not 0 <= args.noise < np.inf:
+        raise ParameterError(f"noise must be finite and >= 0, got {args.noise}")
 
     rng = np.random.default_rng(args.seed)
     theta = np.asarray(dist.rvs(n, rng), dtype=float)
@@ -173,11 +172,11 @@ def cmd_audit(args) -> int:
         return 2
 
     _write(out / "audit_report.txt", render_audit_text(report, params))
-    _write(out / "classifications.csv", classification_csv(episodes, report.labels))
-    theta_min = min(e.theta for e in episodes)
-    theta_max = max(e.theta for e in episodes)
+    theta, b = episodes.theta, episodes.b
+    _write(out / "classifications.csv", episodes_to_csv(theta, b, report.labels))
+    theta_min, theta_max = float(theta.min()), float(theta.max())
     chart = scatter_chart(
-        [(e.theta, e.b, lab) for e, lab in zip(episodes, report.labels)],
+        list(zip(theta.tolist(), b.tolist(), report.labels)),
         fitted=_fit_points(report.fit, theta_min, theta_max),
         published=_schedule_points(params),
     )

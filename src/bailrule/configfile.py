@@ -82,18 +82,24 @@ class ConfigFile:
     def _err(self, line: int, msg: str) -> ConfigError:
         return ConfigError(f"{self.path}:{line}: {msg}")
 
+    def _number(self, sec: Section, key: str, text: str) -> float:
+        """``text`` as a float; float() takes every spelling of inf, and nan
+        is refused like any other non-number."""
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if math.isnan(value):
+            raise self._err(sec.line_of(key), f"'{key}' must be a number, got '{text}'")
+        return value
+
     def get_float(self, sec: Section, key: str, default: float | None = None) -> float:
         raw = sec.get(key)
         if raw is None:
             if default is not None:
                 return default
             raise self._err(sec.line, f"[{sec.name}] is missing required key '{key}'")
-        try:
-            if raw.strip().lower() in ("inf", "+inf", "infinity"):
-                return math.inf
-            return float(raw)
-        except ValueError:
-            raise self._err(sec.line_of(key), f"'{key}' must be a number, got '{raw}'") from None
+        return self._number(sec, key, raw)
 
     def get_int(self, sec: Section, key: str, default: int | None = None) -> int:
         raw = sec.get(key)
@@ -110,12 +116,7 @@ class ConfigFile:
         raw = sec.get(key)
         if raw is None:
             raise self._err(sec.line, f"[{sec.name}] is missing required key '{key}'")
-        try:
-            return [float(part) for part in raw.split(",") if part.strip()]
-        except ValueError:
-            raise self._err(
-                sec.line_of(key), f"'{key}' must be comma-separated numbers, got '{raw}'"
-            ) from None
+        return [self._number(sec, key, part.strip()) for part in raw.split(",") if part.strip()]
 
 
 def parse_config(text: str, path: str = "<config>") -> ConfigFile:

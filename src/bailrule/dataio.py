@@ -1,10 +1,11 @@
 """Episode CSV files: header ``theta,b`` with an optional ``regime`` column.
 
-UTF-8, LF line endings, full-precision floats via repr.  The writer takes
-episodes as columns (``theta``, ``b`` and, when given, ``regime``); it and
-the reader, which returns a list of ``Episode``, reject the same rows: theta
-or b not finite or < 0.  Errors name the offending row; these files are the
-only data interchange surface, so the contract is enforced strictly.
+UTF-8, LF line endings, full-precision floats via repr.  Episodes travel as
+columns both ways: the writer takes ``theta``, ``b`` and, when given,
+``regime``, and the reader returns an ``EpisodeTable``.  Both reject a row
+by one predicate, theta or b not finite or < 0, and name the first such
+row; these files are the only data interchange surface, so the contract is
+enforced strictly.
 """
 
 from __future__ import annotations
@@ -15,12 +16,31 @@ import math
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .estimation import Episode
+from .estimation import EpisodeTable
 
 __all__ = ["read_episodes", "write_episodes", "episodes_to_csv"]
 
 
-def _parse_rows(rows, path: str):
+def _valid(x):
+    """The row predicate, elementwise: finite and >= 0."""
+    return np.isfinite(x) & (x >= 0.0)
+
+
+def _first_invalid(theta: np.ndarray, b: np.ndarray) -> int:
+    """Index of the first row whose theta or b fails ``_valid``, else -1."""
+    bad = ~(_valid(theta) & _valid(b))
+    return int(bad.argmax()) if bad.any() else -1
+
+
+_UNWRITABLE = "may not contain a comma, quote or line break"
+
+
+def _unwritable(regime: str) -> bool:
+    """True for a regime label that would need CSV quoting."""
+    return any(ch in regime for ch in ',"\r\n')
+
+
+def _parse_rows(rows, path: str) -> EpisodeTable:
     header = next(rows, None)
     if header is None:
         raise DataError(f"{path}:1: empty file, expected 'theta,b[,regime]' header")
@@ -29,56 +49,50 @@ def _parse_rows(rows, path: str):
         raise DataError(
             f"{path}:1: bad header {','.join(header)!r}, expected 'theta,b[,regime]'"
         )
-    has_regime = len(header) == 3
-    episodes = []
+    width = len(header)
+    theta, b, regime, kept = [], [], [], []  # kept: (line, row) of each episode
+    fault = None  # the first syntax fault; rows after it are not read
     for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
+        if len(row) != width:
+            fault = DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            break
         try:
-            theta, b = float(row[0]), float(row[1])
+            t, v = float(row[0]), float(row[1])
         except ValueError:
-            raise DataError(
-                f"{path}:{lineno}: non-numeric theta/b: {row[0]!r}, {row[1]!r}"
-            ) from None
-        if math.isnan(theta) or math.isnan(b):
+            fault = DataError(f"{path}:{lineno}: non-numeric theta/b: {row[0]!r}, {row[1]!r}")
+            break
+        if width == 3:
+            r = row[2].strip()
+            if _unwritable(r):
+                fault = DataError(f"{path}:{lineno}: regime {r!r} {_UNWRITABLE}")
+                break
+            regime.append(r or None)
+        theta.append(t)
+        b.append(v)
+        kept.append((lineno, row))
+    theta, b = np.array(theta, dtype=float), np.array(b, dtype=float)
+    i = _first_invalid(theta, b)
+    if i >= 0:  # an invalid value precedes any syntax fault
+        (lineno, row), t, v = kept[i], theta[i], b[i]
+        if math.isnan(t) or math.isnan(v):
             raise DataError(f"{path}:{lineno}: NaN is not a valid observation")
-        if theta < 0 or math.isinf(theta):
+        if not _valid(t):
             raise DataError(f"{path}:{lineno}: theta must be finite and >= 0, got {row[0]!r}")
-        if b < 0 or math.isinf(b):
-            raise DataError(f"{path}:{lineno}: b must be finite and >= 0, got {row[1]!r}")
-        regime = row[2].strip() or None if has_regime else None
-        episodes.append(Episode(theta=theta, b=b, regime=regime))
-    return episodes
+        raise DataError(f"{path}:{lineno}: b must be finite and >= 0, got {row[1]!r}")
+    if fault is not None:
+        raise fault
+    return EpisodeTable(theta, b, tuple(regime) if width == 3 else None)
 
 
-def read_episodes(path) -> list:
-    """Read an episode CSV; raises DataError with file:row on violations."""
+def read_episodes(path) -> EpisodeTable:
+    """Read an episode CSV as columns; raises DataError with file:row on violations."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             return _parse_rows(csv.reader(fh), str(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read data: {exc}") from None
-
-
-def _check_columns(theta, b) -> None:
-    """The reader's checks on whole columns: theta and b finite and >= 0; the
-    error names the first offending row (0-based)."""
-    if theta.ndim != 1 or theta.shape != b.shape:
-        raise ParameterError(
-            f"theta and b must be 1-D columns of one length, got {theta.shape} and {b.shape}"
-        )
-    bad_theta = ~(np.isfinite(theta) & (theta >= 0.0))
-    bad_b = ~(np.isfinite(b) & (b >= 0.0))
-    bad = bad_theta | bad_b
-    if bad.any():
-        i = int(np.argmax(bad))
-        if bad_theta[i]:
-            raise ParameterError(f"episode {i}: theta must be finite and >= 0, got {theta[i]}")
-        raise ParameterError(f"episode {i}: b must be finite and >= 0, got {b[i]}")
 
 
 def episodes_to_csv(theta, b, regime=None) -> str:
@@ -86,7 +100,14 @@ def episodes_to_csv(theta, b, regime=None) -> str:
     column is written exactly when ``regime`` is given (None entries blank)."""
     theta = np.asarray(theta, dtype=float)
     b = np.asarray(b, dtype=float)
-    _check_columns(theta, b)
+    if theta.ndim != 1 or theta.shape != b.shape:
+        raise ParameterError(
+            f"theta and b must be 1-D columns of one length, got {theta.shape} and {b.shape}"
+        )
+    i = _first_invalid(theta, b)
+    if i >= 0:
+        name, v = ("theta", theta[i]) if not _valid(theta[i]) else ("b", b[i])
+        raise ParameterError(f"episode {i}: {name} must be finite and >= 0, got {v}")
     if regime is None:
         rows = (f"{t!r},{v!r}\n" for t, v in zip(theta.tolist(), b.tolist()))
         return "theta,b\n" + "".join(rows)
@@ -94,10 +115,8 @@ def episodes_to_csv(theta, b, regime=None) -> str:
     if len(regime) != len(theta):
         raise ParameterError(f"regime has {len(regime)} rows, theta has {len(theta)}")
     for i, r in enumerate(regime):
-        if any(ch in r for ch in ',"\r\n'):
-            raise ParameterError(
-                f"episode {i}: regime {r!r} may not contain a comma, quote or line break"
-            )
+        if _unwritable(r):
+            raise ParameterError(f"episode {i}: regime {r!r} {_UNWRITABLE}")
     rows = (f"{t!r},{v!r},{r}\n" for t, v, r in zip(theta.tolist(), b.tolist(), regime))
     return "theta,b,regime\n" + "".join(rows)
 

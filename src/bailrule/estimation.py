@@ -15,6 +15,9 @@ interior / cap / override against the published schedule;
 ``detect_override_shift`` refits with a cap-region dummy to surface
 systematic cap-breaking; ``attribute_shift`` decomposes knot movement between
 two fitted regimes into implied political-cost and cap changes.
+
+Estimators take an ``EpisodeTable`` (as ``dataio.read_episodes`` returns)
+or any sequence of ``Episode``; ``_as_arrays`` alone turns them into columns.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .voting import bundle_check
 
 __all__ = [
     "Episode",
+    "EpisodeTable",
     "TlcFit",
     "OverrideReport",
     "ShiftAttribution",
@@ -63,6 +67,24 @@ class Episode:
             raise ParameterError(f"theta must be finite, got {self.theta}")
         if not (math.isfinite(self.b) and self.b >= 0):
             raise ParameterError(f"b must be finite and >= 0, got {self.b}")
+
+
+@dataclass(frozen=True, eq=False)
+class EpisodeTable(Sequence):
+    """Episodes as columns: float arrays ``theta`` and ``b``, and ``regime``,
+    a tuple of labels (None where blank) or None when there is no such
+    column.  Indexing (and so iteration) builds ``Episode`` rows on demand.
+    """
+
+    theta: np.ndarray
+    b: np.ndarray
+    regime: tuple | None = None
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+    def __getitem__(self, i: int) -> Episode:
+        return Episode(self.theta[i], self.b[i], None if self.regime is None else self.regime[i])
 
 
 @dataclass(frozen=True)
@@ -98,6 +120,9 @@ class TlcFit:
 
 
 def _as_arrays(data: Sequence[Episode]) -> tuple[np.ndarray, np.ndarray]:
+    """``theta`` and ``b`` arrays of a table (its own columns) or of rows."""
+    if isinstance(data, EpisodeTable):
+        return np.asarray(data.theta, dtype=float), np.asarray(data.b, dtype=float)
     theta = np.array([e.theta for e in data], dtype=float)
     b = np.array([e.b for e in data], dtype=float)
     return theta, b

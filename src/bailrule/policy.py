@@ -44,7 +44,6 @@ __all__ = [
     "welfare_wedge_shift",
     "activation_derivative",
     "screened_payout",
-    "validate_marginal_benefit",
 ]
 
 #: Absolute tolerance on b for the interior bisection, and its iteration cap.
@@ -109,8 +108,7 @@ class MarginalBenefit:
 
     ``fn`` must be non-increasing in b (weak concavity of the underlying
     benefit), non-decreasing in theta, and finite at b = 0.  The declarations
-    are trusted by the solver; ``validate_marginal_benefit`` spot-checks them
-    by sampling.
+    are trusted by the solver.
     """
 
     fn: Callable[[float, float], float]
@@ -320,28 +318,3 @@ def screened_payout(beta: float, theta_hat, params: MechanismParams):
         raise ParameterError(f"beta must be >= 0, got {beta}")
     rule = tlc_policy_linear(theta_hat, params)
     return np.minimum(beta, rule) if isinstance(rule, np.ndarray) else min(beta, rule)
-
-
-def validate_marginal_benefit(
-    g: MarginalBenefit,
-    params: MechanismParams,
-    b_max: float | None = None,
-    n: int = 41,
-) -> None:
-    """Sample-check the declared shape of a marginal benefit.
-
-    Verifies finiteness at b = 0, weak monotonicity down in b and up in
-    theta on an n-by-n grid over [0, b_max] x [0, theta_bar].  Raises
-    ParameterError on the first violation found.
-    """
-    if b_max is None:
-        b_max = params.b_bar if math.isfinite(params.b_bar) else 10.0
-    bs = np.linspace(0.0, b_max, n)
-    thetas = np.linspace(0.0, params.theta_bar, n)
-    vals = np.array([[g(b, t) for b in bs] for t in thetas])
-    if not np.all(np.isfinite(vals[:, 0])):
-        raise ParameterError("marginal benefit is not finite at b = 0")
-    if g.concave_in_b and np.any(np.diff(vals, axis=1) > 1e-12):
-        raise ParameterError("marginal benefit increases in b despite concavity flag")
-    if g.increasing_in_theta and np.any(np.diff(vals, axis=0) < -1e-12):
-        raise ParameterError("marginal benefit decreases in theta despite monotonicity flag")

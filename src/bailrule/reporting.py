@@ -23,6 +23,7 @@ from .estimation import (
     OverrideReport,
     ShiftAttribution,
     TlcFit,
+    _as_arrays,
     attribute_shift,
     classify_against_schedule,
     detect_override_shift,
@@ -37,7 +38,6 @@ __all__ = [
     "AuditReport",
     "run_audit",
     "render_audit_text",
-    "classification_csv",
     "run_sweep",
     "sweep_csv",
     "render_allocation_text",
@@ -85,11 +85,8 @@ def _signature_checks(
     episodes, fit: TlcFit, params: MechanismParams, override: OverrideReport
 ) -> list:
     checks = []
-    b = [e.b for e in episodes]
-    theta = [e.theta for e in episodes]
-    n = len(b)
-    mean_b = sum(b) / n
-    tss = sum((v - mean_b) ** 2 for v in b)
+    theta, b = _as_arrays(episodes)
+    tss = float(((b - b.mean()) ** 2).sum())
 
     # piecewise-linearity: the hinge fit should explain nearly everything
     if tss <= 1e-20 or fit.degenerate:
@@ -101,7 +98,7 @@ def _signature_checks(
 
     # two-cutoff: both knots strictly inside the observed shock range
     res = max(fit.grid_resolution, 1e-12)
-    lo_edge, hi_edge = min(theta), max(theta)
+    lo_edge, hi_edge = float(theta.min()), float(theta.max())
     if fit.degenerate:
         checks.append(SignatureCheck("two-cutoff", NOT_IDENTIFIED, "degenerate fit"))
     elif fit.theta1 <= lo_edge + res or fit.theta2 >= hi_edge - res:
@@ -265,15 +262,6 @@ def render_audit_text(report: AuditReport, params: MechanismParams) -> str:
                 f"  announced change match: {'pass' if a.announced_match else 'fail'}"
             )
     return "\n".join(lines) + "\n"
-
-
-def classification_csv(episodes, labels) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["theta", "b", "regime"])
-    for e, lab in zip(episodes, labels):
-        writer.writerow([repr(e.theta), repr(e.b), lab])
-    return buf.getvalue()
 
 
 def run_sweep(plan, params: MechanismParams, profile: WeightProfile | None = None):

@@ -136,10 +136,6 @@ class WeightProfile:
         if not self.T >= 0:
             raise ParameterError(f"T must be >= 0, got {self.T}")
 
-    @property
-    def w_taxpayer(self) -> float:
-        return 1.0 - self.w_beneficiary
-
 
 @dataclass(frozen=True)
 class PoliticalCostSpec:
@@ -186,10 +182,6 @@ class FiniteLegislature:
         self.weights = w
         self.thresholds = x
         self.taxpayer_weight = taxpayer_weight
-
-    @property
-    def beneficiary_weight(self) -> float:
-        return float(self.weights.sum())
 
 
 def _support_steps(theta: float, leg: FiniteLegislature) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bailrule import cutoffs, tlc_policy_linear
+from bailrule import Episode, TlcFit, cutoffs, fit_tlc, tlc_policy_linear
 from bailrule.cli import main
 from bailrule.configfile import build_mechanism, parse_config
 from bailrule.dataio import read_episodes
@@ -144,6 +145,22 @@ def test_simulate_negative_noise_exit_1(base_cfg, tmp_path):
     assert run(["simulate", "--config", base_cfg, "--noise", -0.1, "--out-dir", tmp_path]) == 1
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_simulate_non_finite_noise_exit_1(base_cfg, tmp_path, capsys, noise):
+    assert run(["simulate", "--config", base_cfg, "--noise", noise, "--out-dir", tmp_path]) == 1
+    assert f"noise must be finite and >= 0, got {noise}" in capsys.readouterr().err
+    assert not (tmp_path / "episodes.csv").exists()
+
+
+def test_simulate_nan_screening_beta_exit_1(tmp_path, capsys):
+    # a nan cap compared false everywhere and was dropped: unscreened payouts
+    cfg = tmp_path / "sc.cfg"
+    cfg.write_text(BASE + "screening_beta = nan\n")
+    assert run(["simulate", "--config", cfg, "--out-dir", tmp_path]) == 1
+    assert f"{cfg}:11: 'screening_beta' must be a number, got 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "episodes.csv").exists()
+
+
 def test_simulate_override_injection(tmp_path):
     cfg = tmp_path / "ov.cfg"
     cfg.write_text(BASE + "override_shift = 0.2\n")
@@ -227,6 +244,30 @@ def test_audit_two_data_files_attribution(tmp_path):
     text = (out / "audit_report.txt").read_text()
     assert "shift attribution" in text
     assert "announced" in text
+
+
+def test_audit_builds_no_episode_rows(tmp_path, monkeypatch):
+    # read, fit, classify, plot and write all take the episodes as columns
+    cfg = tmp_path / "rule.cfg"
+    cfg.write_text(BASE)
+    for name, seed in (("r0", 2), ("r1", 3)):
+        run(["simulate", "--config", cfg, "--seed", seed, "--noise", 0.02,
+             "--out-dir", tmp_path / name])
+    built = []
+    post_init = Episode.__post_init__
+    monkeypatch.setattr(Episode, "__post_init__", lambda e: built.append(post_init(e)))
+    code = run(["audit", "--config", cfg, "--data", tmp_path / "r0" / "episodes.csv",
+                "--data", tmp_path / "r1" / "episodes.csv", "--out-dir", tmp_path / "out"])
+    assert code == 0 and built == []
+    assert len(list(read_episodes(tmp_path / "r0" / "episodes.csv"))) == len(built) == 120
+
+
+def test_fit_of_table_equals_fit_of_rows_bitwise(base_cfg, tmp_path):
+    run(["simulate", "--config", base_cfg, "--seed", 4, "--noise", 0.05, "--out-dir", tmp_path])
+    table = read_episodes(tmp_path / "episodes.csv")
+    a, b = fit_tlc(table, 0.1), fit_tlc(list(table), 0.1)
+    for f in dataclasses.fields(TlcFit):  # repr round-trips a float's bits
+        assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
 
 
 def test_audit_mismatched_card_strict_exit_3(base_cfg, tmp_path):

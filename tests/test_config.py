@@ -1,6 +1,7 @@
 """Config parsing and the builders that turn sections into domain objects."""
 
 import math
+import re
 
 import pytest
 
@@ -44,8 +45,22 @@ def test_sha256_stable():
 
 
 def test_inf_literal():
-    cfg = parse_config(BASE.replace("b_bar = 0.5", "b_bar = inf"))
-    assert build_mechanism(cfg).b_bar == math.inf
+    for literal in ("inf", " Infinity ", "+INF"):
+        cfg = parse_config(BASE.replace("b_bar = 0.5", f"b_bar = {literal}"))
+        assert build_mechanism(cfg).b_bar == math.inf
+
+
+@pytest.mark.parametrize("literal", ["nan", "NaN", "-nan", "+NAN"])
+def test_nan_is_not_a_number(literal):
+    # float() parses nan, which slips through a range check written as `x < 0`
+    cfg = parse_config(f"[x]\n\nv = {literal}\nvs = 1.0, {literal}, 2.0\n", path="x.cfg")
+    sec, got = cfg.find("x"), re.escape(literal)
+    with pytest.raises(ConfigError, match=rf"^x\.cfg:3: 'v' must be a number, got '{got}'$"):
+        cfg.get_float(sec, "v", 0.0)
+    with pytest.raises(ConfigError, match=rf"^x\.cfg:4: 'vs' must be a number, got '{got}'$"):
+        cfg.get_floats(sec, "vs")
+    with pytest.raises(ConfigError, match=r"^x\.cfg:6: 'b_bar' must be a number, got 'nan'$"):
+        build_mechanism(parse_config(BASE.replace("b_bar = 0.5", "b_bar = nan"), path="x.cfg"))
 
 
 def test_parse_errors_carry_line_numbers():

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bailrule import DataError, Episode, ParameterError
+from bailrule import DataError, Episode, EpisodeTable, ParameterError
 from bailrule.dataio import episodes_to_csv, read_episodes, write_episodes
 
 
@@ -167,3 +168,99 @@ def test_writer_matches_csv_module_bytes():
             writer.writerow([repr(t), repr(v)] + ([regime[i] or ""] if with_regime else []))
         got = episodes_to_csv(theta, b, regime if with_regime else None)
         assert got == buf.getvalue()
+
+
+def test_reader_returns_columns_and_builds_rows_on_demand(tmp_path):
+    path = tmp_path / "eps.csv"
+    path.write_text("theta,b,regime\n0.5,0.0,\n1.5,0.25, cap \n")
+    table = read_episodes(path)
+    assert isinstance(table, EpisodeTable) and len(table) == 2
+    assert table.theta.dtype == table.b.dtype == np.float64
+    assert table.theta.tolist() == [0.5, 1.5] and table.b.tolist() == [0.0, 0.25]
+    assert table.regime == (None, "cap")
+    assert list(table) == [Episode(0.5, 0.0), Episode(1.5, 0.25, "cap")]
+    assert table[-1] == Episode(1.5, 0.25, "cap")
+    path.write_text("theta,b\n")
+    empty = read_episodes(path)
+    assert len(empty) == 0 and empty.theta.shape == (0,) and empty.regime is None
+
+
+def test_reader_rejects_regime_the_writer_would_reject(tmp_path):
+    # a quoted field may hold a comma, quote or line break; the writer refuses them
+    path = tmp_path / "eps.csv"
+    path.write_text('theta,b,regime\n1.0,0.5,cap\n2.0,0.5,"a,b"\n')
+    with pytest.raises(DataError, match=r"eps\.csv:3: regime 'a,b' may not contain a comma"):
+        read_episodes(path)
+
+
+def test_undecodable_file_is_a_data_error(tmp_path):
+    path = tmp_path / "eps.csv"
+    path.write_bytes(b"theta,b\n1.0,\xff\n")
+    with pytest.raises(DataError, match=r"eps\.csv: cannot read data"):
+        read_episodes(path)
+
+
+FAULTS = {
+    "nan": ("nan,0.5", "NaN is not a valid observation"),
+    "negative-theta": ("-1.0,0.5", "theta must be finite and >= 0, got '-1.0'"),
+    "inf-b": ("1.0,inf", "b must be finite and >= 0, got 'inf'"),
+    "non-numeric": ("abc,0.5", "non-numeric theta/b: 'abc', '0.5'"),
+    "field-count": ("1.0,0.5,x", "expected 2 fields, got 3"),
+}
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(a, b) for a in FAULTS for b in FAULTS if a != b],
+    ids=lambda kind: kind,
+)
+def test_first_of_two_faults_is_reported(tmp_path, first, second):
+    path = tmp_path / "eps.csv"
+    path.write_text(f"theta,b\n0.5,0.1\n{FAULTS[first][0]}\n0.7,0.2\n{FAULTS[second][0]}\n")
+    with pytest.raises(DataError) as info:
+        read_episodes(path)
+    assert str(info.value) == f"{path}:3: {FAULTS[first][1]}"
+
+
+_GOOD = st.floats(0.0, 1e300).map(repr) | st.sampled_from(["-0", " 1.5 ", "1e-400", '"2.5"'])
+_BAD = st.floats().map(repr) | st.sampled_from(["nan", "+INF", "1e400", "", "x", '"a,b"'])
+_FIELD = st.one_of(_GOOD, _GOOD, _GOOD, _BAD)
+_LABEL = st.sampled_from(["", "cap", " zero ", '"a,b"', '"x""y"', '"l\nm"'])
+_ROW2 = st.tuples(_FIELD, _FIELD).map(",".join)
+_ROW3 = st.tuples(_FIELD, _FIELD, _LABEL).map(",".join)
+_ANY_ROW = st.lists(_FIELD, max_size=4).map(",".join)  # any width, or blank
+
+
+def _file(header, row):
+    lines = st.lists(st.one_of(row, row, row, _ANY_ROW), max_size=6)
+    return st.tuples(lines, st.sampled_from(["\n", "\r\n", "\r"])).map(
+        lambda t: t[1].join([header, *t[0]])
+    )
+
+
+CSV_TEXT = st.one_of(  # a header and mostly well-formed rows, or anything CSV-like
+    _file("theta,b", _ROW2),
+    _file(" theta , b ", _ROW2),
+    _file("theta,b,regime", _ROW3),
+    st.text(alphabet="0123456789.-+eE ,\n\r\"naifNIx", max_size=60),
+)
+
+
+@given(text=CSV_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_reader_either_cites_a_line_or_round_trips(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "eps.csv"
+    path.write_bytes(text.encode())
+    try:
+        table = read_episodes(path)
+    except DataError as exc:
+        where, n, _ = str(exc).split(":", 2)
+        assert where == str(path)
+        assert 1 <= int(n) <= max(len(text.splitlines()), 1)  # an empty file is line 1
+        return
+    again = path.with_name("again.csv")
+    write_episodes(again, table.theta, table.b, table.regime)
+    back = read_episodes(again)
+    assert back.theta.tobytes() == table.theta.tobytes()
+    assert back.b.tobytes() == table.b.tobytes()
+    assert back.regime == table.regime

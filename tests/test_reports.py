@@ -78,6 +78,19 @@ def test_audit_counts_sum_and_checks_pass():
         assert name in text
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.02, 0.3])
+def test_linearity_r2_matches_the_row_loop(noise):
+    # the columnar sum of squares prints the R^2 that the per-row sums printed
+    rng = np.random.default_rng(7)
+    eps = [Episode(e.theta, max(e.b + rng.normal(0.0, noise), 0.0)) for e in clean_episodes(400)]
+    report = run_audit(eps, CANON)
+    b = [e.b for e in eps]
+    mean_b = sum(b) / len(b)
+    tss = sum((v - mean_b) ** 2 for v in b)
+    check = next(c for c in report.checks if c.name == "piecewise-linearity")
+    assert check.detail == f"R^2={1.0 - report.fit.sse / tss:.4f}"
+
+
 def test_audit_flags_override_contamination():
     eps = clean_episodes(200)
     hot = [
