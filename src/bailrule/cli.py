@@ -44,7 +44,7 @@ from .errors import (
 )
 from .estimation import predict
 from .floors import apply_equity_floor
-from .policy import cutoffs, screened_payout, tlc_policy_linear
+from .policy import cutoffs, tlc_policy_linear
 from .reporting import (
     render_allocation_text,
     render_audit_text,
@@ -118,6 +118,10 @@ def cmd_simulate(args) -> int:
     beta = cfg.get_float(sim, "screening_beta", np.inf) if sim else np.inf
     if n < 1:
         raise ConfigError(f"{cfg.path}: simulate n must be >= 1, got {n}")
+    if not beta >= 0:
+        raise ConfigError(
+            f"{cfg.path}:{sim.line_of('screening_beta')}: screening_beta must be >= 0, got {beta}"
+        )
     if not 0 <= args.noise < np.inf:
         raise ParameterError(f"noise must be finite and >= 0, got {args.noise}")
 
@@ -128,7 +132,7 @@ def cmd_simulate(args) -> int:
     else:
         b = tlc_policy_linear(theta, params)
     if np.isfinite(beta):
-        b = screened_payout(beta, theta, params) if floor is None else np.minimum(beta, b)
+        b = np.minimum(beta, b)
     if override_shift:
         b = b + override_shift * (theta > cutoffs(params).theta_hi)
     if args.noise > 0:
@@ -237,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="config file path")
+    def common(p):
+        p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--out-dir", default=None, help=f"output directory (or ${OUT_DIR_ENV})")
 
     p = sub.add_parser("rulecard", help="publish the schedule implied by a config")

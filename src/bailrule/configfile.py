@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .allocation import AllocationProblem
@@ -61,6 +62,21 @@ class Section:
         return self.entries[key][1] if key in self.entries else self.line
 
 
+#: The keys each known section kind accepts; other kinds are not checked.
+_KEYS = {
+    "mechanism": {"omega_b", "c", "omega_T", "T", "b_bar", "theta_bar"},
+    "legislature": {"w_beneficiary", "tau", "h_family", "h_lo", "h_hi", "h_atoms",
+                    "h_masses", "lambda0", "lambda1", "salience"},
+    "distribution": {"family", "rate", "a", "b"},
+    "floor": {"type", "a", "theta_knots", "b_values"},
+    "sweep": {"parameter", "start", "stop", "steps", "b_bar_start", "b_bar_stop"},
+    "treasury": {"budget"},
+    "municipality": {"omega_b", "c", "omega_T", "T", "b_bar", "theta_bar", "theta"},
+    "simulate": {"n", "override_shift", "screening_beta"},
+    "announced": {"delta_omega_T", "delta_b_bar"},
+}
+
+
 @dataclass
 class ConfigFile:
     path: str
@@ -70,8 +86,16 @@ class ConfigFile:
     def find(self, name: str) -> Section | None:
         for s in self.sections:
             if s.name == name:
-                return s
+                return self._checked(s, name)
         return None
+
+    def _checked(self, sec: Section, kind: str) -> Section:
+        """``sec`` itself, once every key in it is one that ``kind`` accepts."""
+        allowed = _KEYS.get(kind)
+        if allowed is not None and not sec.entries.keys() <= allowed:
+            key = next(k for k in sec.entries if k not in allowed)
+            raise self._err(sec.entries[key][1], f"unknown key '{key}' in [{sec.name}]")
+        return sec
 
     def require(self, name: str) -> Section:
         sec = self.find(name)
@@ -163,8 +187,13 @@ def load_config(path) -> ConfigFile:
     return parse_config(text, path=str(path))
 
 
-def _wrap_param_error(cfg: ConfigFile, sec: Section, exc: ParameterError) -> ConfigError:
-    return ConfigError(f"{cfg.path}:{sec.line}: invalid [{sec.name}]: {exc}")
+@contextmanager
+def _located(cfg: ConfigFile, sec: Section):
+    """Re-raise a ParameterError from the block as a ConfigError at ``sec``."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ConfigError(f"{cfg.path}:{sec.line}: invalid [{sec.name}]: {exc}") from None
 
 
 def build_weight_profile(cfg: ConfigFile, T: float) -> WeightProfile | None:
@@ -173,7 +202,7 @@ def build_weight_profile(cfg: ConfigFile, T: float) -> WeightProfile | None:
     if sec is None:
         return None
     family = (sec.get("h_family") or "uniform").lower()
-    try:
+    with _located(cfg, sec):
         if family == "uniform":
             dist = UniformThreshold(
                 cfg.get_float(sec, "h_lo", 0.0), cfg.get_float(sec, "h_hi")
@@ -193,22 +222,18 @@ def build_weight_profile(cfg: ConfigFile, T: float) -> WeightProfile | None:
             threshold_dist=dist,
             T=T,
         )
-    except ParameterError as exc:
-        raise _wrap_param_error(cfg, sec, exc) from None
 
 
 def _derived_omega_T(cfg: ConfigFile) -> float | None:
     sec = cfg.find("legislature")
     if sec is None or sec.get("lambda0") is None:
         return None
-    try:
+    with _located(cfg, sec):
         spec = PoliticalCostSpec(
             lambda0=cfg.get_float(sec, "lambda0"),
             lambda1=cfg.get_float(sec, "lambda1", 0.0),
         )
         return political_cost(spec, cfg.get_float(sec, "salience", 0.0))
-    except ParameterError as exc:
-        raise _wrap_param_error(cfg, cfg.find("legislature"), exc) from None
 
 
 def build_mechanism(cfg: ConfigFile) -> MechanismParams:
@@ -236,7 +261,7 @@ def build_mechanism(cfg: ConfigFile) -> MechanismParams:
                 "section to derive the consent cap from"
             )
         b_bar = consent_cap_analytic(profile)
-    try:
+    with _located(cfg, sec):
         return MechanismParams(
             omega_b=cfg.get_float(sec, "omega_b"),
             c=cfg.get_float(sec, "c"),
@@ -245,15 +270,13 @@ def build_mechanism(cfg: ConfigFile) -> MechanismParams:
             b_bar=b_bar,
             theta_bar=cfg.get_float(sec, "theta_bar"),
         )
-    except ParameterError as exc:
-        raise _wrap_param_error(cfg, sec, exc) from None
 
 
 def build_distribution(cfg: ConfigFile, params: MechanismParams) -> ShockDistribution:
     """ShockDistribution from [distribution]; defaults to uniform on the support."""
     sec = cfg.find("distribution")
     family = (sec.get("family") or "uniform").lower() if sec else "uniform"
-    try:
+    with _located(cfg, sec):
         if family == "uniform":
             return UniformShock(params.theta_bar)
         if family == "truncexpon":
@@ -262,8 +285,6 @@ def build_distribution(cfg: ConfigFile, params: MechanismParams) -> ShockDistrib
             return BetaShock(
                 cfg.get_float(sec, "a"), cfg.get_float(sec, "b"), params.theta_bar
             )
-    except ParameterError as exc:
-        raise _wrap_param_error(cfg, sec, exc) from None
     raise ConfigError(
         f"{cfg.path}:{sec.line_of('family')}: unknown distribution family '{family}' "
         "(expected uniform, truncexpon, or beta)"
@@ -276,7 +297,7 @@ def build_floor(cfg: ConfigFile) -> EquityFloor | None:
     if sec is None:
         return None
     kind = (sec.get("type") or "").lower()
-    try:
+    with _located(cfg, sec):
         if kind == "parallel":
             return ParallelFloor(cfg.get_float(sec, "a"))
         if kind == "custom":
@@ -284,8 +305,6 @@ def build_floor(cfg: ConfigFile) -> EquityFloor | None:
                 tuple(cfg.get_floats(sec, "theta_knots")),
                 tuple(cfg.get_floats(sec, "b_values")),
             )
-    except ParameterError as exc:
-        raise _wrap_param_error(cfg, sec, exc) from None
     raise ConfigError(
         f"{cfg.path}:{sec.line}: [floor] type must be 'parallel' or 'custom', got '{kind}'"
     )
@@ -344,7 +363,7 @@ def build_allocation_problem(cfg: ConfigFile) -> tuple[AllocationProblem, list]:
         if not sec.name.startswith("municipality"):
             continue
         name = sec.name[len("municipality"):].strip() or f"#{len(names) + 1}"
-        try:
+        with _located(cfg, cfg._checked(sec, "municipality")):
             p = MechanismParams(
                 omega_b=cfg.get_float(sec, "omega_b"),
                 c=cfg.get_float(sec, "c"),
@@ -353,14 +372,10 @@ def build_allocation_problem(cfg: ConfigFile) -> tuple[AllocationProblem, list]:
                 b_bar=cfg.get_float(sec, "b_bar"),
                 theta_bar=cfg.get_float(sec, "theta_bar"),
             )
-        except ParameterError as exc:
-            raise _wrap_param_error(cfg, sec, exc) from None
         theta = cfg.get_float(sec, "theta")
         names.append(name)
         munis.append((p, theta))
     if not munis:
         raise ConfigError(f"{cfg.path}: no [municipality ...] sections found")
-    try:
+    with _located(cfg, treasury):
         return AllocationProblem(tuple(munis), budget), names
-    except ParameterError as exc:
-        raise _wrap_param_error(cfg, treasury, exc) from None

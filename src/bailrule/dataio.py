@@ -3,9 +3,9 @@
 UTF-8, LF line endings, full-precision floats via repr.  Episodes travel as
 columns both ways: the writer takes ``theta``, ``b`` and, when given,
 ``regime``, and the reader returns an ``EpisodeTable``.  Both reject a row
-by one predicate, theta or b not finite or < 0, and name the first such
-row; these files are the only data interchange surface, so the contract is
-enforced strictly.
+by the table's one predicate, theta or b not finite or < 0, and name the
+first such row (the reader by the line the row starts on); these files are
+the only data interchange surface, so the contract is enforced strictly.
 """
 
 from __future__ import annotations
@@ -16,20 +16,9 @@ import math
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .estimation import EpisodeTable
+from .estimation import EpisodeTable, _first_invalid, _valid
 
 __all__ = ["read_episodes", "write_episodes", "episodes_to_csv"]
-
-
-def _valid(x):
-    """The row predicate, elementwise: finite and >= 0."""
-    return np.isfinite(x) & (x >= 0.0)
-
-
-def _first_invalid(theta: np.ndarray, b: np.ndarray) -> int:
-    """Index of the first row whose theta or b fails ``_valid``, else -1."""
-    bad = ~(_valid(theta) & _valid(b))
-    return int(bad.argmax()) if bad.any() else -1
 
 
 _UNWRITABLE = "may not contain a comma, quote or line break"
@@ -40,8 +29,9 @@ def _unwritable(regime: str) -> bool:
     return any(ch in regime for ch in ',"\r\n')
 
 
-def _parse_rows(rows, path: str) -> EpisodeTable:
-    header = next(rows, None)
+def _parse_rows(reader, path: str) -> EpisodeTable:
+    """Columns of a ``csv.reader``'s records; messages cite the line a record starts on."""
+    header = next(reader, None)
     if header is None:
         raise DataError(f"{path}:1: empty file, expected 'theta,b[,regime]' header")
     header = [h.strip() for h in header]
@@ -52,7 +42,9 @@ def _parse_rows(rows, path: str) -> EpisodeTable:
     width = len(header)
     theta, b, regime, kept = [], [], [], []  # kept: (line, row) of each episode
     fault = None  # the first syntax fault; rows after it are not read
-    for lineno, row in enumerate(rows, start=2):
+    start = reader.line_num + 1  # the line the next record starts on
+    for row in reader:
+        lineno, start = start, reader.line_num + 1
         if not row:
             continue
         if len(row) != width:
@@ -97,27 +89,18 @@ def read_episodes(path) -> EpisodeTable:
 
 def episodes_to_csv(theta, b, regime=None) -> str:
     """Render episode columns as CSV text (LF, repr floats); the ``regime``
-    column is written exactly when ``regime`` is given (None entries blank)."""
-    theta = np.asarray(theta, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if theta.ndim != 1 or theta.shape != b.shape:
-        raise ParameterError(
-            f"theta and b must be 1-D columns of one length, got {theta.shape} and {b.shape}"
-        )
-    i = _first_invalid(theta, b)
-    if i >= 0:
-        name, v = ("theta", theta[i]) if not _valid(theta[i]) else ("b", b[i])
-        raise ParameterError(f"episode {i}: {name} must be finite and >= 0, got {v}")
+    column is written exactly when ``regime`` is given (None entries blank).
+    The columns are checked as an ``EpisodeTable``."""
+    table = EpisodeTable(theta, b, regime)
+    theta, b = table.theta.tolist(), table.b.tolist()
     if regime is None:
-        rows = (f"{t!r},{v!r}\n" for t, v in zip(theta.tolist(), b.tolist()))
+        rows = (f"{t!r},{v!r}\n" for t, v in zip(theta, b))
         return "theta,b\n" + "".join(rows)
-    regime = [r or "" for r in regime]
-    if len(regime) != len(theta):
-        raise ParameterError(f"regime has {len(regime)} rows, theta has {len(theta)}")
+    regime = [r or "" for r in table.regime]
     for i, r in enumerate(regime):
         if _unwritable(r):
             raise ParameterError(f"episode {i}: regime {r!r} {_UNWRITABLE}")
-    rows = (f"{t!r},{v!r},{r}\n" for t, v, r in zip(theta.tolist(), b.tolist(), regime))
+    rows = (f"{t!r},{v!r},{r}\n" for t, v, r in zip(theta, b, regime))
     return "theta,b,regime\n" + "".join(rows)
 
 

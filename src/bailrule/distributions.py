@@ -5,9 +5,9 @@ closed form with numpy and ``math``; the base class rescales it to
 [0, theta_bar] and owns the edges: the pdf is 0 outside the support, the
 cdf is 0 below it and 1 above it, the ppf of a probability outside [0, 1]
 is nan, and a scalar in gives a scalar out.  Only the beta cdf and ppf need
-special functions: they import ``scipy.special`` when called, so importing
-this module loads no scipy.  ``hazard`` is a free function because it is
-family-agnostic.
+special functions: they import ``scipy.special`` (the ``bailrule[beta]``
+extra) when called, so importing this module loads no scipy.  ``hazard`` is
+a free function because it is family-agnostic.
 """
 
 from __future__ import annotations
@@ -25,6 +25,15 @@ __all__ = [
     "BetaShock",
     "hazard",
 ]
+
+
+def _scipy_special():
+    """``scipy.special``, which only the beta cdf and ppf need."""
+    try:
+        import scipy.special
+    except ImportError as exc:
+        raise ImportError("the beta cdf and ppf need scipy: pip install 'bailrule[beta]'") from exc
+    return scipy.special
 
 
 def _positive_finite(**values) -> None:
@@ -142,14 +151,10 @@ class BetaShock(ShockDistribution):
         return np.exp(log_x + log_y - self._log_beta)
 
     def _cdf(self, x):
-        from scipy.special import betainc
-
-        return betainc(self.a, self.b, x)
+        return _scipy_special().betainc(self.a, self.b, x)
 
     def _ppf(self, q):
-        from scipy.special import betaincinv
-
-        x = betaincinv(self.a, self.b, q)
+        x = _scipy_special().betaincinv(self.a, self.b, q)
         # betaincinv gives up (nan) in the far lower tail, q < ~1e-120, where
         # I_x(a, b) = x**a / (a * B(a, b)) * (1 + O(x)) inverts in closed form
         tail = np.exp((np.log(q) + math.log(self.a) + self._log_beta) / self.a)

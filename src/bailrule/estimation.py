@@ -18,6 +18,8 @@ two fitted regimes into implied political-cost and cap changes.
 
 Estimators take an ``EpisodeTable`` (as ``dataio.read_episodes`` returns)
 or any sequence of ``Episode``; ``_as_arrays`` alone turns them into columns.
+Both types check one row predicate, ``_valid`` (theta and b finite and >= 0),
+when built, so no estimator sees a row that no episode file can hold.
 """
 
 from __future__ import annotations
@@ -52,6 +54,17 @@ REGIME_CAP = "cap"
 REGIME_OVERRIDE = "override"
 
 
+def _valid(x):
+    """The row predicate, elementwise: finite and >= 0."""
+    return np.isfinite(x) & (x >= 0.0)
+
+
+def _first_invalid(theta: np.ndarray, b: np.ndarray) -> int:
+    """Index of the first row whose theta or b fails ``_valid``, else -1."""
+    bad = ~(_valid(theta) & _valid(b))
+    return int(bad.argmax()) if bad.any() else -1
+
+
 @dataclass(frozen=True)
 class Episode:
     """One observed bailout decision: shock proxy, realized payout, optional label."""
@@ -61,12 +74,11 @@ class Episode:
     regime: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "b", float(self.b))
-        if not math.isfinite(self.theta):
-            raise ParameterError(f"theta must be finite, got {self.theta}")
-        if not (math.isfinite(self.b) and self.b >= 0):
-            raise ParameterError(f"b must be finite and >= 0, got {self.b}")
+        for name in ("theta", "b"):
+            value = float(getattr(self, name))
+            object.__setattr__(self, name, value)
+            if not _valid(value):
+                raise ParameterError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +91,23 @@ class EpisodeTable(Sequence):
     theta: np.ndarray
     b: np.ndarray
     regime: tuple | None = None
+
+    def __post_init__(self) -> None:
+        theta = np.asarray(self.theta, dtype=float)
+        b = np.asarray(self.b, dtype=float)
+        regime = None if self.regime is None else tuple(self.regime)
+        if theta.ndim != 1 or theta.shape != b.shape:
+            raise ParameterError(
+                f"theta and b must be 1-D columns of one length, got {theta.shape} and {b.shape}"
+            )
+        if regime is not None and len(regime) != len(theta):
+            raise ParameterError(f"regime has {len(regime)} rows, theta has {len(theta)}")
+        i = _first_invalid(theta, b)
+        if i >= 0:
+            name, v = ("theta", theta[i]) if not _valid(theta[i]) else ("b", b[i])
+            raise ParameterError(f"episode {i}: {name} must be finite and >= 0, got {v}")
+        for name, value in (("theta", theta), ("b", b), ("regime", regime)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -93,10 +122,8 @@ class TlcFit:
 
     cap_level is the implied plateau s * (theta2 - theta1).  grid_resolution
     is the uniform knot-grid step used in the search; fitted knots are only
-    trustworthy to roughly that scale.  ``structural`` records the caller's
-    declaration that the payouts come from a linear-benefit rule, in which
-    case s estimates the benefit/cost ratio; under a general concave benefit
-    the interior segment is only a monotone approximation and s has no
+    trustworthy to roughly that scale.  Under a general concave benefit the
+    interior segment is only a monotone approximation and s has no
     structural reading.  ``search`` holds the knot search's counters (blocks,
     leaf pairs, bound gap); it stays out of equality, repr and artifacts.
     """
@@ -111,7 +138,6 @@ class TlcFit:
     residual_se: float = 0.0
     degenerate: bool = False
     no_interior: bool = False
-    structural: bool = True
     search: tuple = field(default=(), compare=False, repr=False)
 
     @property
@@ -122,7 +148,7 @@ class TlcFit:
 def _as_arrays(data: Sequence[Episode]) -> tuple[np.ndarray, np.ndarray]:
     """``theta`` and ``b`` arrays of a table (its own columns) or of rows."""
     if isinstance(data, EpisodeTable):
-        return np.asarray(data.theta, dtype=float), np.asarray(data.b, dtype=float)
+        return data.theta, data.b
     theta = np.array([e.theta for e in data], dtype=float)
     b = np.array([e.b for e in data], dtype=float)
     return theta, b
@@ -222,7 +248,6 @@ def fit_tlc(
     data: Sequence[Episode],
     t_admissible: float,
     knot_grid: int = 201,
-    linear_benefit: bool = True,
 ) -> TlcFit:
     """Profile least squares over knot pairs with closed-form slope.
 
@@ -236,9 +261,6 @@ def fit_tlc(
     (exact: no knot moves); EstimationError is raised if s or the SSE
     overflow a float when scaled back.  Fitted values are clipped at zero
     (vacuous here since s and x are nonnegative, but part of the contract).
-
-    Set ``linear_benefit=False`` when the payouts are believed to come from a
-    general concave benefit; the fit is unchanged but flagged non-structural.
     """
     if len(data) < 4:
         raise EstimationError(f"need at least 4 episodes, got {len(data)}")
@@ -302,7 +324,6 @@ def fit_tlc(
         residual_se=residual_se,
         degenerate=bool(np.all(b == 0.0)),
         no_interior=(t1 == t2),
-        structural=linear_benefit,
         search=search,
     )
 
@@ -342,7 +363,7 @@ def classify_against_schedule(
     ).tolist()
 
 
-def schedule_as_fit(params: MechanismParams, n_obs: int = 0) -> TlcFit:
+def schedule_as_fit(params: MechanismParams) -> TlcFit:
     """A published schedule expressed as a TlcFit (for the dummy refit).
 
     Only exact when the cost branch pins the lower cutoff (the hinge spline
@@ -355,10 +376,9 @@ def schedule_as_fit(params: MechanismParams, n_obs: int = 0) -> TlcFit:
         theta1=cut.theta_lo,
         theta2=cut.theta_hi,
         sse=0.0,
-        n_obs=n_obs,
+        n_obs=0,
         t_admissible=params.T,
         grid_resolution=0.0,
-        residual_se=0.0,
     )
 
 

@@ -15,7 +15,9 @@ clipped into [0, b_bar].  Two shapes are supported:
 ``SC-Parallel`` (schedule remains two-cutoff with an effective political
 cost), ``SC-Dominated`` (floor never binds; schedule unchanged), or
 ``ExtraKink`` (the floor crosses the interior line and adds a kink, which
-will defeat a two-cutoff audit signature).
+will defeat a two-cutoff audit signature).  It is exact: both floor shapes
+are piecewise linear, so it compares floor and line only at the interior
+region's ends and a custom floor's knots inside it.
 """
 
 from __future__ import annotations
@@ -42,11 +44,6 @@ __all__ = [
 SC_PARALLEL = "SC-Parallel"
 SC_DOMINATED = "SC-Dominated"
 EXTRA_KINK = "ExtraKink"
-
-# Dominance is decided on this many interior grid points plus all segment
-# endpoints; floors are piecewise-linear so endpoints alone would suffice,
-# the grid is a safety net.
-_CLASSIFY_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -100,45 +97,33 @@ class CustomFloor:
 EquityFloor = ParallelFloor | CustomFloor
 
 
-def _floor_region(params: MechanismParams) -> tuple[float, float]:
-    """Interior region on which floor behavior is judged, truncated to support."""
-    cut = cutoffs(params)
-    lo = min(cut.theta_lo, params.theta_bar)
-    hi = min(cut.theta_hi, params.theta_bar)
-    return lo, hi
-
-
-def _check_floor_bounds(floor: EquityFloor, params: MechanismParams) -> None:
-    if isinstance(floor, CustomFloor) and max(floor.b_values) > params.b_bar:
-        raise ParameterError(
-            f"floor demands {max(floor.b_values)} above the consent cap {params.b_bar}"
-        )
-
-
 def classify_floor(floor: EquityFloor, params: MechanismParams) -> str:
     """Structural classification of a floored schedule.
 
     SC-Parallel: parallel floor whose line stays within [0, b_bar] across the
-    interior region, so the schedule is a clean two-cutoff rule with
-    effective political cost omega_T - c * a.  SC-Dominated: floor is at or
-    below the interior candidate across the region, so the schedule is
-    bitwise unchanged.  ExtraKink: anything else (floor crosses the line).
+    interior region [theta_lo, theta_hi] (cut at theta_bar), so the schedule
+    is a clean two-cutoff rule with effective political cost omega_T - c * a.
+    SC-Dominated: floor is at or below the interior candidate across the
+    region, so the schedule is bitwise unchanged.  ExtraKink: anything else
+    (floor crosses the line).  A custom floor above the cap raises.
     """
-    _check_floor_bounds(floor, params)
-    lo, hi = _floor_region(params)
-    grid = np.linspace(lo, hi, _CLASSIFY_GRID)
-    if isinstance(floor, CustomFloor):
-        interior_knots = [t for t in floor.theta_knots if lo < t < hi]
-        grid = np.unique(np.concatenate([grid, np.asarray(interior_knots, dtype=float)]))
-
+    if isinstance(floor, CustomFloor) and max(floor.b_values) > params.b_bar:
+        raise ParameterError(
+            f"floor demands {max(floor.b_values)} above the consent cap {params.b_bar}"
+        )
+    cut = cutoffs(params)
+    lo, hi = min(cut.theta_lo, params.theta_bar), min(cut.theta_hi, params.theta_bar)
     if isinstance(floor, ParallelFloor):
-        fvals = floor.values(np.array([lo, hi]), params)
+        points = np.array([lo, hi])
+        fvals = floor.values(points, params)
         # tolerate rounding at theta_lo, where the line passes exactly 0
         if fvals.min() >= -1e-12 and fvals.max() <= params.b_bar + 1e-12:
             return SC_PARALLEL
+    else:
+        points = np.array([lo, hi, *(t for t in floor.theta_knots if lo < t < hi)])
 
-    b_int = _tlc(grid, params.omega_b, params.c, params.omega_T, floor=-np.inf)
-    if np.all(floor.values(grid, params) <= b_int + 1e-12):
+    b_int = _tlc(points, params.omega_b, params.c, params.omega_T, floor=-np.inf)
+    if np.all(floor.values(points, params) <= b_int + 1e-12):
         return SC_DOMINATED
     return EXTRA_KINK
 
@@ -150,12 +135,11 @@ def apply_equity_floor(theta, floor: EquityFloor, params: MechanismParams):
     admissible shocks, zero below the threshold T.  Elementwise over arrays;
     scalar in, scalar out.  Returns ``(value, classification)``.
     """
-    _check_floor_bounds(floor, params)
+    label = classify_floor(floor, params)  # first: it refuses a floor above the cap
     arr = np.asarray(theta, dtype=float)
     _check_theta_domain(arr, params)
     lower = np.maximum(floor.values(arr, params), 0.0)
     out = _tlc(arr, params.omega_b, params.c, params.omega_T, params.T, params.b_bar, lower)
-    label = classify_floor(floor, params)
     if np.isscalar(theta) or arr.ndim == 0:
         return float(out), label
     return out, label

@@ -13,8 +13,6 @@ The audit pipeline deliberately separates two roles:
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -221,8 +219,7 @@ def render_audit_text(report: AuditReport, params: MechanismParams) -> str:
         f"  s={_fmt(fit.s)} theta1={_fmt(fit.theta1)} theta2={_fmt(fit.theta2)} "
         f"cap_level={_fmt(fit.cap_level)}",
         f"  sse={_fmt(fit.sse)} rse={_fmt(fit.residual_se)} "
-        f"degenerate={fit.degenerate} no_interior={fit.no_interior} "
-        f"structural={fit.structural}",
+        f"degenerate={fit.degenerate} no_interior={fit.no_interior}",
         "",
         "regime counts:    "
         + " ".join(f"{k}={report.counts[k]}" for k in ("zero", "interior", "cap", "override")),
@@ -272,27 +269,9 @@ def run_sweep(plan, params: MechanismParams, profile: WeightProfile | None = Non
     A coupled omega_T + cap sweep must satisfy the bundle direction at every
     step (raising the political cost must not loosen the cap) or is refused.
     """
-    header = [plan.parameter, "theta_lo", "theta_hi", "b_bar", "knife_edge"]
-    rows = []
-    if plan.parameter in ("tau", "w_B"):
-        if profile is None:
-            raise ConfigError(
-                f"sweeping {plan.parameter} needs a [legislature] section"
-            )
-        for v in plan.values:
-            field = "tau" if plan.parameter == "tau" else "w_beneficiary"
-            try:
-                prof_v = replace(profile, **{field: v})
-            except ParameterError as exc:
-                raise ConfigError(
-                    f"sweep value {v} invalid for {plan.parameter}: {exc}"
-                ) from None
-            cap = consent_cap_analytic(prof_v)
-            p_v = replace(params, b_bar=cap)
-            cut = cutoffs(p_v)
-            rows.append([v, cut.theta_lo, cut.theta_hi, cap, int(knife_edge(p_v))])
-        return header, rows
-
+    via_cap = {"tau": "tau", "w_B": "w_beneficiary"}.get(plan.parameter)
+    if via_cap is not None and profile is None:
+        raise ConfigError(f"sweeping {plan.parameter} needs a [legislature] section")
     caps = plan.coupled_b_bar
     if caps is not None:
         steps = list(zip(plan.values, caps))
@@ -304,11 +283,15 @@ def run_sweep(plan, params: MechanismParams, profile: WeightProfile | None = Non
                     f"loosening the cap {c0:.6g} -> {c1:.6g}; institutional "
                     "shifts must move these together"
                 )
+    rows = []
     for i, v in enumerate(plan.values):
-        fields = {plan.parameter: v}
-        if caps is not None:
-            fields["b_bar"] = caps[i]
         try:
+            if via_cap is not None:
+                fields = {"b_bar": consent_cap_analytic(replace(profile, **{via_cap: v}))}
+            else:
+                fields = {plan.parameter: v}
+                if caps is not None:
+                    fields["b_bar"] = caps[i]
             p_v = replace(params, **fields)
         except ParameterError as exc:
             raise ConfigError(
@@ -316,16 +299,15 @@ def run_sweep(plan, params: MechanismParams, profile: WeightProfile | None = Non
             ) from None
         cut = cutoffs(p_v)
         rows.append([v, cut.theta_lo, cut.theta_hi, p_v.b_bar, int(knife_edge(p_v))])
+    header = [plan.parameter, "theta_lo", "theta_hi", "b_bar", "knife_edge"]
     return header, rows
 
 
 def sweep_csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+    """CSV text of a sweep table (LF, repr floats); no field needs quoting."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def render_allocation_text(names, problem, result, ordering) -> str:

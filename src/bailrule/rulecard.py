@@ -58,7 +58,6 @@ def make_rule_card(
     config_sha256: str,
     config_path: str,
     tau: float | None = None,
-    note: str = "",
 ) -> RuleCard:
     cut = cutoffs(params)
     return RuleCard(
@@ -72,7 +71,6 @@ def make_rule_card(
         config_sha256=config_sha256,
         config_path=config_path,
         timestamp=_timestamp_for(config_path),
-        note=note,
     )
 
 

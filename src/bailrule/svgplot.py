@@ -33,8 +33,6 @@ def _fmt(x: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -103,6 +101,16 @@ def _axes(frame: _Frame, xlabel: str, ylabel: str) -> list:
     return parts
 
 
+def _legend(i: int, name: str, color: str) -> list:
+    """The i-th legend entry, a swatch and its label, at the top right."""
+    y = MARGIN_T + 14 * i
+    return [
+        f'<rect x="{WIDTH - 150}" y="{y + 4}" width="10" height="10" fill="{color}"/>',
+        f'<text x="{WIDTH - 136}" y="{y + 12}" font-family="sans-serif" '
+        f'font-size="10" fill="#333333">{name}</text>',
+    ]
+
+
 def _polyline(frame: _Frame, pts: Sequence, color: str, dash: str = "") -> str:
     coords = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in pts)
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
@@ -136,19 +144,11 @@ def scatter_chart(
             f'<circle cx="{_fmt(frame.x(theta))}" cy="{_fmt(frame.y(b))}" r="2.4" '
             f'fill="{color}" fill-opacity="0.75"/>'
         )
-    legend_y = MARGIN_T + 12
     entries = [("fitted", "#111111"), ("published", "#2f855a")] + [
         (k, v) for k, v in REGIME_COLORS.items() if k
     ]
     for i, (name, color) in enumerate(entries):
-        parts.append(
-            f'<rect x="{WIDTH - 150}" y="{legend_y + 14 * i - 8}" width="10" height="10" '
-            f'fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{WIDTH - 136}" y="{legend_y + 14 * i}" font-family="sans-serif" '
-            f'font-size="10" fill="#333333">{name}</text>'
-        )
+        parts += _legend(i, name, color)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -176,13 +176,6 @@ def line_chart(
         ]
         if pts:
             parts.append(_polyline(frame, pts, color))
-        parts.append(
-            f'<rect x="{WIDTH - 150}" y="{MARGIN_T + 14 * i + 4}" width="10" height="10" '
-            f'fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{WIDTH - 136}" y="{MARGIN_T + 14 * i + 12}" font-family="sans-serif" '
-            f'font-size="10" fill="#333333">{name}</text>'
-        )
+        parts += _legend(i, name, color)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -10,15 +10,15 @@ MechanismParams.b_bar.
 
 At atoms of the threshold distribution the two generalized inverses of H
 disagree; the finite scan is ground truth, and it matches the sup-convention
-inverse sup{x : H(x-) <= u}, which is what ``cap_quantile`` implements.  The
-plain inf-convention quantile inf{x : H(x) >= u} stays available as
-``quantile`` (and is what sampling-convergence arguments use).
+inverse sup{x : H(x-) <= u}, which is what each threshold distribution's
+``cap_quantile`` implements.  ``UniformThreshold.sample`` draws the members
+of a sampled legislature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -47,16 +47,11 @@ class UniformThreshold:
             raise ParameterError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
         self.lo, self.hi = lo, hi
 
-    def cdf(self, x):
-        return np.clip((np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
-    def quantile(self, u: float) -> float:
+    def cap_quantile(self, u: float) -> float:
+        """lo + u * (hi - lo): for a continuous cdf both inverses coincide."""
         if not 0 <= u <= 1:
             raise ParameterError(f"quantile level must lie in [0, 1], got {u}")
         return self.lo + u * (self.hi - self.lo)
-
-    # continuous strictly increasing cdf: both inverse conventions coincide
-    cap_quantile = quantile
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=n)
@@ -77,21 +72,6 @@ class DiscreteThreshold:
         order = np.argsort(atoms, kind="stable")
         self.atoms = atoms[order]
         self.masses = masses[order]
-        self._cum = np.cumsum(self.masses)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.atoms, x, side="right")
-        cum = np.concatenate([[0.0], self._cum])
-        out = cum[idx]
-        return float(out) if x.ndim == 0 else out
-
-    def quantile(self, u: float) -> float:
-        """inf{x : H(x) >= u} — the standard generalized inverse."""
-        if not 0 <= u <= 1:
-            raise ParameterError(f"quantile level must lie in [0, 1], got {u}")
-        idx = int(np.searchsorted(self._cum, u, side="left"))
-        return float(self.atoms[min(idx, self.atoms.size - 1)])
 
     def cap_quantile(self, u: float) -> float:
         """sup{x : H(x-) <= u} — the inverse that matches finite-scan pass/fail.
@@ -101,12 +81,9 @@ class DiscreteThreshold:
         """
         if not 0 <= u <= 1:
             raise ParameterError(f"quantile level must lie in [0, 1], got {u}")
-        pre = self._cum - self.masses
+        pre = np.cumsum(self.masses) - self.masses
         qualifying = np.nonzero(pre <= u)[0]
         return float(self.atoms[qualifying[-1]])
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(self.atoms, size=n, p=self.masses)
 
 
 @dataclass(frozen=True)
@@ -139,11 +116,10 @@ class WeightProfile:
 
 @dataclass(frozen=True)
 class PoliticalCostSpec:
-    """Political shadow cost: lambda0 + lambda1 * phi(salience), phi weakly increasing."""
+    """Political shadow cost: lambda0 + lambda1 * salience."""
 
     lambda0: float
     lambda1: float
-    phi: Callable[[float], float] = field(default=lambda s: s)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambda0", float(self.lambda0))
@@ -245,8 +221,8 @@ def consent_cap_analytic(profile: WeightProfile) -> float:
 
 
 def political_cost(spec: PoliticalCostSpec, salience: float) -> float:
-    """omega_T implied by net-contributor salience: lambda0 + lambda1 * phi(s)."""
-    return spec.lambda0 + spec.lambda1 * float(spec.phi(salience))
+    """omega_T implied by net-contributor salience: lambda0 + lambda1 * s."""
+    return spec.lambda0 + spec.lambda1 * float(salience)
 
 
 def bundle_check(before: tuple[float, float], after: tuple[float, float]) -> bool:

@@ -8,6 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bailrule import Episode, TlcFit, cutoffs, fit_tlc, tlc_policy_linear
@@ -159,6 +160,40 @@ def test_simulate_nan_screening_beta_exit_1(tmp_path, capsys):
     assert run(["simulate", "--config", cfg, "--out-dir", tmp_path]) == 1
     assert f"{cfg}:11: 'screening_beta' must be a number, got 'nan'" in capsys.readouterr().err
     assert not (tmp_path / "episodes.csv").exists()
+
+
+@pytest.mark.parametrize("floor", ["", "\n[floor]\ntype = parallel\na = 0.05\n"],
+                         ids=["no-floor", "floor"])
+def test_simulate_negative_screening_beta_exit_1(tmp_path, capsys, floor):
+    # the message used to depend on the path and cite no line
+    cfg = tmp_path / "sc.cfg"
+    cfg.write_text(BASE + "screening_beta = -0.1\n" + floor)
+    assert run(["simulate", "--config", cfg, "--out-dir", tmp_path]) == 1
+    assert f"error: {cfg}:11: screening_beta must be >= 0, got -0.1\n" == capsys.readouterr().err
+    assert not (tmp_path / "episodes.csv").exists()
+
+
+def test_simulate_misspelled_key_exit_1(tmp_path, capsys):
+    # an unknown key was ignored, and the payouts went out unscreened
+    cfg = tmp_path / "sc.cfg"
+    cfg.write_text(BASE + "screening_bta = 0.1\n")
+    assert run(["simulate", "--config", cfg, "--out-dir", tmp_path]) == 1
+    assert f"{cfg}:11: unknown key 'screening_bta' in [simulate]" in capsys.readouterr().err
+    assert not (tmp_path / "episodes.csv").exists()
+
+
+def test_simulate_screening_is_the_schedule_capped(tmp_path):
+    for floor in ("", "\n[floor]\ntype = parallel\na = 0.05\n"):
+        cfg = tmp_path / "sc.cfg"
+        cfg.write_text(BASE + "screening_beta = 0.2\n" + floor)
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(BASE + floor)
+        run(["simulate", "--config", cfg, "--seed", 1, "--out-dir", tmp_path / "sc"])
+        run(["simulate", "--config", plain, "--seed", 1, "--out-dir", tmp_path / "plain"])
+        screened = read_episodes(tmp_path / "sc" / "episodes.csv")
+        unscreened = read_episodes(tmp_path / "plain" / "episodes.csv")
+        assert np.array_equal(screened.theta, unscreened.theta)
+        assert np.array_equal(screened.b, np.minimum(0.2, unscreened.b))
 
 
 def test_simulate_override_injection(tmp_path):

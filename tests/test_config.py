@@ -4,6 +4,7 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bailrule import ConfigError, consent_cap_analytic, cutoffs
 from bailrule.configfile import (
@@ -207,3 +208,55 @@ def test_allocation_builder():
 def test_allocation_requires_municipalities():
     with pytest.raises(ConfigError, match="municipality"):
         build_allocation_problem(parse_config("[treasury]\nbudget = 1.0\n"))
+
+
+# --- unknown keys ----------------------------------------------------------
+
+def test_unknown_key_refused_in_each_known_section():
+    cfg = parse_config(BASE.replace("c = 4.0", "c = 4.0\ncost = 4.0"), path="x.cfg")
+    with pytest.raises(ConfigError, match=r"^x\.cfg:4: unknown key 'cost' in \[mechanism\]$"):
+        build_mechanism(cfg)
+    cfg = parse_config(LEGISLATURE.replace("tau = 0.25", "quota = 0.25"), path="x.cfg")
+    with pytest.raises(ConfigError, match=r"^x\.cfg:9: unknown key 'quota' in \[legislature\]$"):
+        build_weight_profile(cfg, 0.3)
+    cfg = parse_config(ALLOC.replace("theta = 2.0", "theta = 2.0\ntheta_hat = 2.0"), path="x.cfg")
+    with pytest.raises(
+        ConfigError, match=r"^x\.cfg:21: unknown key 'theta_hat' in \[municipality south\]$"
+    ):
+        build_allocation_problem(cfg)
+    cfg = parse_config("[treasury]\nbudget = 1\nbudgt = 2\n", path="x.cfg")
+    with pytest.raises(ConfigError, match=r"^x\.cfg:3: unknown key 'budgt' in \[treasury\]$"):
+        cfg.require("treasury")
+
+
+def test_sections_of_other_kinds_are_not_checked():
+    cfg = parse_config(BASE + "\n[notes]\nauthor = someone\n")
+    assert cfg.find("notes").get("author") == "someone"
+    assert build_mechanism(cfg).omega_b == 2.0
+
+
+FRAGMENTS = st.sampled_from([
+    "[mechanism]", "[legislature]", "[floor]", "[simulate]", "[notes]", "[municipality a]",
+    "[", "]", "[ ]", "[mechanism", "omega_b = 1", "tau = 0.2", "n = 3", "a = 1", "b=",
+    "screening_bta = 1", "= 1", "key", "k = v = w", "# c", "; c", "", "  ", "\t",
+])
+CONFIG_TEXT = st.lists(
+    st.one_of(FRAGMENTS, st.text(max_size=12)), max_size=12
+).map("\n".join)
+
+
+@given(text=CONFIG_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_config_either_cites_a_line_or_parses(text):
+    # every refusal, syntax or unknown key, names a line of the text
+    lines = len(text.splitlines())
+    try:
+        cfg = parse_config(text, path="f.cfg")
+        for kind in ("mechanism", "legislature", "floor", "simulate", "notes"):
+            cfg.find(kind)
+        for sec in cfg.sections:
+            if sec.name.startswith("municipality"):
+                cfg._checked(sec, "municipality")
+    except ConfigError as exc:
+        m = re.match(r"f\.cfg:(\d+): ", str(exc))
+        assert m and 1 <= int(m.group(1)) <= lines, str(exc)

@@ -1,6 +1,7 @@
 """Episode CSV contract: header, LF endings, row-precise rejection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,27 @@ def test_field_count_checked(tmp_path):
     path = tmp_path / "eps.csv"
     path.write_text("theta,b\n1.0,0.5,x,y\n")
     with pytest.raises(DataError, match=r":2"):
+        read_episodes(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a quoted field spanning lines 2-3 puts the next record on line 4
+        ('theta,b\n"1\n",0.5\n-1,0.5\n', r":4: theta must be finite and >= 0, got '-1'"),
+        ('theta,b\n"1\n",0.5\n"x\ny",0.5\n', r":4: non-numeric theta/b"),
+        ('theta,b\n"1\n",0.5\n1,0.5,9\n', r":4: expected 2 fields, got 3"),
+        # a fault inside a multi-line record cites the line the record starts
+        # on, not the line it ends on (6)
+        ('theta,b\n"1\n",0.5\n"2\n\n",nope\n', r":4: non-numeric theta/b"),
+        ('theta,b\n"1\n",0.5\n"-2\n\n",0.5\n', r":4: theta must be finite and >= 0"),
+    ],
+    ids=["after-value", "after-syntax", "after-width", "inside-syntax", "inside-value"],
+)
+def test_reader_cites_the_physical_line_a_record_starts_on(tmp_path, text, message):
+    path = tmp_path / "eps.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}{message}"):
         read_episodes(path)
 
 

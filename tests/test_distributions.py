@@ -1,5 +1,11 @@
 """Shock distribution wrappers and the hazard function."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,3 +216,32 @@ def test_truncexpon_mean_accurate_at_any_unit_rate(k):
         want = float(1 / kk - 1 / mpmath.expm1(kk))  # the unit-interval mean
     got = TruncatedExponentialShock(rate=k, theta_bar=1.0).mean()
     assert abs(got - want) <= 1e-14 * want
+
+
+def test_beta_without_scipy_names_the_extra():
+    # scipy is optional: only the beta cdf and ppf need it
+    code = textwrap.dedent(
+        """
+        import sys
+        sys.modules["scipy"] = None  # any scipy import now raises ImportError
+        import numpy as np
+        from bailrule import BetaShock
+
+        d = BetaShock(2.0, 5.0, theta_bar=2.0)
+        print(float(d.pdf(0.5)), d.rvs(3, np.random.default_rng(1)).shape, d.mean())
+        for method, arg in (("cdf", 0.5), ("ppf", 0.3)):
+            try:
+                getattr(d, method)(arg)
+            except ImportError as exc:
+                print(method, exc)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    first, *errors = proc.stdout.splitlines()
+    d = BetaShock(2.0, 5.0, theta_bar=2.0)
+    assert first == f"{float(d.pdf(0.5))} (3,) {d.mean()}"
+    assert [e.split()[0] for e in errors] == ["cdf", "ppf"]
+    assert all("bailrule[beta]" in e for e in errors)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bailrule import (
     Episode,
+    EpisodeTable,
     EstimationError,
     MechanismParams,
     ParameterError,
@@ -54,6 +55,48 @@ def synth(s, t1, t2, thetas, noise=0.0, seed=None):
     if noise:
         b = np.maximum(b + np.random.default_rng(seed).normal(0, noise, th.size), 0.0)
     return [Episode(t, v) for t, v in zip(th, b)]
+
+
+# --- episode types ---------------------------------------------------------
+
+def test_episode_rejects_negative_theta():
+    with pytest.raises(ParameterError, match=r"^theta must be finite and >= 0, got -1\.0$"):
+        Episode(-1.0, 0.5)
+    with pytest.raises(ParameterError, match=r"^theta must be finite and >= 0, got nan$"):
+        Episode(math.nan, 0.5)
+
+
+def test_table_holds_float_columns_and_a_regime_tuple():
+    table = EpisodeTable([0, 1, 2], (0, 1, 1), ["zero", None, "cap"])
+    assert table.theta.dtype == float and table.theta.tolist() == [0.0, 1.0, 2.0]
+    assert table.b.dtype == float and table.b.tolist() == [0.0, 1.0, 1.0]
+    assert table.regime == ("zero", None, "cap")
+
+
+FIVE = [0.5, 1.0, 1.5, 2.0, 2.5]
+
+
+@pytest.mark.parametrize(
+    "theta, b, regime, message",
+    [
+        (FIVE, [0.0, 0.25, 0.5, 0.5, -5.0], None,
+         r"^episode 4: b must be finite and >= 0, got -5\.0$"),
+        ([0.5, math.nan, 1.5, 2.0, 2.5], [0.0] * 5, None,
+         r"^episode 1: theta must be finite and >= 0, got nan$"),
+        ([0.5, 1.0, -1.5, 2.0, 2.5], [0.0, math.inf, 0.0, 0.0, 0.0], None,
+         r"^episode 1: b must be finite and >= 0, got inf$"),
+        (FIVE[:3], [0.0] * 5, None,
+         r"^theta and b must be 1-D columns of one length, got \(3,\) and \(5,\)$"),
+        ([FIVE], [[0.0] * 5], None, r"must be 1-D columns"),
+        (FIVE, [0.0] * 5, ["cap"] * 4, r"^regime has 4 rows, theta has 5$"),
+    ],
+    ids=["negative-b", "nan-theta", "first-of-two", "ragged", "2-D", "short-regime"],
+)
+def test_table_refuses_what_no_episode_file_holds(theta, b, regime, message):
+    # such tables used to reach fit_tlc: a negative payout was fitted, a NaN
+    # shock raised a bare IndexError, ragged columns were "too few episodes"
+    with pytest.raises(ParameterError, match=message):
+        EpisodeTable(np.array(theta), np.array(b), regime)
 
 
 # --- fit -------------------------------------------------------------------
@@ -303,7 +346,7 @@ def test_classify_against_schedule_matches_rule():
 def test_classify_against_schedule_rejects_out_of_support():
     # a shock beyond theta_bar used to be clamped onto it and read as "cap"
     p = MechanismParams(2, 4, 1, T=0.1, b_bar=0.5, theta_bar=3)
-    data = [Episode(1.0, 0.25), Episode(5.0, 0.5), Episode(-0.5, 0.0)]
+    data = [Episode(1.0, 0.25), Episode(5.0, 0.5), Episode(4.0, 0.0)]
     with pytest.raises(ParameterError, match=r"episode 1: theta=5\.0"):
         classify_against_schedule(data, p, tol=1e-9)
 

@@ -13,6 +13,7 @@ from bailrule import (
     ParallelFloor,
     ParameterError,
     apply_equity_floor,
+    classify_floor,
     cutoffs,
     tlc_policy_linear,
 )
@@ -115,3 +116,55 @@ def test_floored_value_matches_max_clip_oracle(theta, raw_vals):
     b_int = max((p.omega_b * theta - p.omega_T) / p.c, 0.0)
     want = min(max(np.interp(theta, knots, vals), b_int), p.b_bar)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def classify_on_a_dense_grid(floor, p):
+    """The classification as it was once decided: on 1024 grid points of
+    the interior region, plus a custom floor's knots inside it."""
+    cut = cutoffs(p)
+    lo, hi = min(cut.theta_lo, p.theta_bar), min(cut.theta_hi, p.theta_bar)
+    grid = np.linspace(lo, hi, 1024)
+    if isinstance(floor, CustomFloor):
+        knots = [t for t in floor.theta_knots if lo < t < hi]
+        grid = np.unique(np.concatenate([grid, np.asarray(knots, dtype=float)]))
+    if isinstance(floor, ParallelFloor):
+        fvals = floor.values(np.array([lo, hi]), p)
+        if fvals.min() >= -1e-12 and fvals.max() <= p.b_bar + 1e-12:
+            return SC_PARALLEL
+    line = (p.omega_b * grid - p.omega_T) / p.c
+    if np.all(floor.values(grid, p) <= line + 1e-12):
+        return SC_DOMINATED
+    return EXTRA_KINK
+
+
+def random_floors(rng, n):
+    """Seeded mechanisms with parallel and custom floors, a third of them
+    touching the interior line to within 1e-13."""
+    for i in range(n):
+        theta_bar = rng.uniform(1.0, 5.0)
+        b_bar = np.inf if i % 7 == 0 else rng.uniform(0.1, 3.0)
+        p = MechanismParams(omega_b=rng.uniform(0.2, 3.0), c=rng.uniform(0.2, 3.0),
+                            omega_T=rng.uniform(0.0, 2.0), T=rng.uniform(0.0, theta_bar),
+                            b_bar=b_bar, theta_bar=theta_bar)
+        touch = i % 3 == 0
+        if i % 2:
+            a = rng.choice([0.0, 1e-13, -1e-13, 1e-12]) if touch else rng.uniform(-0.5, 0.5)
+            yield ParallelFloor(a), p
+            continue
+        knots = np.sort(rng.choice(np.linspace(0.0, theta_bar, 41), rng.integers(1, 6),
+                                   replace=False))
+        if touch:  # on the line at each knot, nudged by at most 1e-13
+            values = (p.omega_b * knots - p.omega_T) / p.c + rng.choice([0.0, 1e-13, -1e-13])
+        else:
+            values = np.sort(rng.uniform(0.0, 1.5, knots.size))
+        values = np.maximum.accumulate(np.clip(values, 0.0, min(p.b_bar, 1.5)))
+        yield CustomFloor(tuple(knots), tuple(values)), p
+
+
+def test_classification_matches_a_dense_grid():
+    labels = []
+    for floor, p in random_floors(np.random.default_rng(20240), 2400):
+        label = classify_floor(floor, p)
+        assert label == classify_on_a_dense_grid(floor, p), (floor, p)
+        labels.append((type(floor).__name__, label))
+    assert len(set(labels)) == 5  # each shape meets each label it can have

@@ -1,11 +1,22 @@
 """Rule cards, audit reports, sweeps, and the SVG emitters."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bailrule import ConfigError, Episode, MechanismParams, UniformThreshold, WeightProfile, tlc_policy_linear
+from bailrule import (
+    ConfigError,
+    Episode,
+    MechanismParams,
+    UniformThreshold,
+    WeightProfile,
+    consent_cap_analytic,
+    cutoffs,
+    knife_edge,
+    tlc_policy_linear,
+)
 from bailrule.configfile import build_sweep, parse_config
 from bailrule.reporting import (
     render_allocation_text,
@@ -178,6 +189,67 @@ def test_coupled_sweep_refused_on_bundle_violation():
     ))
     with pytest.raises(ConfigError, match="together"):
         run_sweep(plan, CANON)
+
+
+def test_coupled_sweep_moves_the_cap_along_its_schedule():
+    plan = build_sweep(parse_config(
+        BASE + "\n[sweep]\nparameter = omega_T\nstart = 0.5\nstop = 1.5\nsteps = 5\n"
+        "b_bar_start = 0.6\nb_bar_stop = 0.2\n"
+    ))
+    header, rows = run_sweep(plan, CANON)
+    assert column(rows, header.index("b_bar")) == list(plan.coupled_b_bar)
+    for omega_T, lo, hi, cap, _ in rows:
+        cut = cutoffs(replace(CANON, omega_T=omega_T, b_bar=cap))
+        assert (lo, hi) == (cut.theta_lo, cut.theta_hi)
+
+
+def test_sweep_w_B_goes_through_the_consent_cap():
+    profile = WeightProfile(0.5, 0.25, UniformThreshold(0, 2), T=1.0)
+    plan = build_sweep(parse_config(BASE + "\n[sweep]\nparameter = w_B\nstart = 0.2\nstop = 1.0\nsteps = 9\n"))
+    header, rows = run_sweep(plan, CANON, profile)
+    assert header[0] == "w_B"
+    for w_B, lo, hi, cap, knife in rows:
+        assert cap == consent_cap_analytic(replace(profile, w_beneficiary=w_B))
+        p_v = replace(CANON, b_bar=cap)
+        cut = cutoffs(p_v)
+        assert (lo, hi, knife) == (cut.theta_lo, cut.theta_hi, int(knife_edge(p_v)))
+    caps = column(rows, 3)
+    assert caps[0] == 0.0 and min(caps[1:]) > 0.0  # no cap while w_B < tau
+    assert caps == sorted(caps)
+
+
+@pytest.mark.parametrize(
+    "parameter, start, message",
+    [("tau", "0", r"^sweep value 0\.0 invalid for tau: tau must lie in \(0, 1\]"),
+     ("w_B", "-0.5", r"^sweep value -0\.5 invalid for w_B: w_beneficiary must lie in"),
+     ("omega_T", "-1", r"^sweep value -1\.0 invalid for omega_T: omega_T must be finite")],
+)
+def test_invalid_sweep_value_is_a_config_error(parameter, start, message):
+    profile = WeightProfile(0.5, 0.25, UniformThreshold(0, 2), T=1.0)
+    plan = build_sweep(parse_config(
+        BASE + f"\n[sweep]\nparameter = {parameter}\nstart = {start}\nstop = 0.9\nsteps = 3\n"
+    ))
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(plan, CANON, profile)
+
+
+def test_sweep_csv_matches_csv_module_bytes():
+    # the join writes what csv.writer wrote: no sweep field needs quoting
+    import csv
+    import io
+
+    profile = WeightProfile(0.5, 0.25, UniformThreshold(0, 2), T=1.0)
+    for section in ("parameter = omega_T\nstart = 0\nstop = 6\nsteps = 7\n",
+                    "parameter = tau\nstart = 0.1\nstop = 0.9\nsteps = 9\n",
+                    "parameter = T\nstart = 0\nstop = 3\nsteps = 4\n"):
+        header, rows = run_sweep(build_sweep(parse_config(BASE + "\n[sweep]\n" + section)),
+                                 CANON, profile)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        assert sweep_csv(header, rows) == buf.getvalue()
 
 
 def test_sweep_csv_shape():
