@@ -43,6 +43,7 @@ from .floors import (
     SC_PARALLEL,
     CustomFloor,
     ParallelFloor,
+    Schedule,
     apply_equity_floor,
     classify_floor,
 )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,8 @@ from .errors import (
     ParameterError,
 )
 from .estimation import predict
-from .floors import apply_equity_floor
-from .policy import cutoffs, tlc_policy_linear
+from .floors import Schedule
+from .policy import cutoffs
 from .reporting import (
     render_allocation_text,
     render_audit_text,
@@ -52,7 +53,7 @@ from .reporting import (
     run_sweep,
     sweep_csv,
 )
-from .rulecard import card_to_json, make_rule_card, render_card_text
+from .rulecard import card_to_json, floor_note, make_rule_card, render_card_text
 from .svgplot import line_chart, scatter_chart
 
 OUT_DIR_ENV = "BAILRULE_OUT_DIR"
@@ -71,20 +72,6 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _schedule_points(params):
-    """Vertices of the published schedule, with an explicit riser at a jump."""
-    cut = cutoffs(params)
-    hi = params.theta_bar
-    xs = sorted({0.0, params.T, cut.theta_lo, min(cut.theta_hi, hi), hi})
-    pts = []
-    for x in xs:
-        y = tlc_policy_linear(x, params)
-        if x == params.T and x > 0 and y > 0:
-            pts.append((x, 0.0))
-        pts.append((x, y))
-    return pts
-
-
 def _fit_points(fit, theta_min, theta_max):
     xs = sorted({theta_min, fit.theta1, fit.theta2, theta_max})
     xs = [x for x in xs if theta_min <= x <= theta_max]
@@ -94,13 +81,15 @@ def _fit_points(fit, theta_min, theta_max):
 def cmd_rulecard(args) -> int:
     cfg = load_config(args.config)
     params = build_mechanism(cfg)
+    schedule = Schedule(params, build_floor(cfg))
     profile = build_weight_profile(cfg, params.T)
     card = make_rule_card(
-        params,
+        schedule.card() or params,
         config_sha256=cfg.sha256,
         config_path=cfg.path,
         tau=profile.tau if profile else None,
     )
+    card = replace(card, note=floor_note(schedule), no_bailout=schedule.no_bailout)
     out = _out_dir(args)
     _write(out / "rulecard.txt", render_card_text(card))
     _write(out / "rulecard.json", card_to_json(card))
@@ -111,7 +100,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     params = build_mechanism(cfg)
     dist = build_distribution(cfg, params)
-    floor = build_floor(cfg)
+    schedule = Schedule(params, build_floor(cfg))
     sim = cfg.find("simulate")
     n = cfg.get_int(sim, "n", 100) if sim else 100
     override_shift = cfg.get_float(sim, "override_shift", 0.0) if sim else 0.0
@@ -127,14 +116,11 @@ def cmd_simulate(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     theta = np.asarray(dist.rvs(n, rng), dtype=float)
-    if floor is not None:
-        b, _label = apply_equity_floor(theta, floor, params)
-    else:
-        b = tlc_policy_linear(theta, params)
+    b = schedule.payout(theta)
     if np.isfinite(beta):
         b = np.minimum(beta, b)
     if override_shift:
-        b = b + override_shift * (theta > cutoffs(params).theta_hi)
+        b = b + override_shift * (theta > cutoffs(schedule.card() or params).theta_hi)
     if args.noise > 0:
         b = np.maximum(b + rng.normal(0.0, args.noise, size=n), 0.0)
 
@@ -169,20 +155,21 @@ def cmd_audit(args) -> int:
             tol=args.tol,
             episodes_after=episodes_after,
             announced=announced,
+            floor=build_floor(cfg),
         )
     except EstimationError as exc:
         _write(out / "audit_report.txt", f"AUDIT FAILED\n============\n{exc}\n")
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    _write(out / "audit_report.txt", render_audit_text(report, params))
+    _write(out / "audit_report.txt", render_audit_text(report))
     theta, b = episodes.theta, episodes.b
     _write(out / "classifications.csv", episodes_to_csv(theta, b, report.labels))
     theta_min, theta_max = float(theta.min()), float(theta.max())
     chart = scatter_chart(
         list(zip(theta.tolist(), b.tolist(), report.labels)),
         fitted=_fit_points(report.fit, theta_min, theta_max),
-        published=_schedule_points(params),
+        published=report.schedule.vertices(),
     )
     _write(out / "audit_plot.svg", chart)
     if args.strict and report.any_check_failed:

@@ -321,7 +321,7 @@ class SweepPlan:
 
 
 def build_sweep(cfg: ConfigFile) -> SweepPlan:
-    """Sweep plan from [sweep]: parameter, start/stop/steps, optional coupled cap."""
+    """Sweep plan from [sweep]: parameter, finite start/stop, steps, optional coupled cap."""
     sec = cfg.require("sweep")
     parameter = sec.get("parameter")
     if parameter not in SWEEPABLE:
@@ -329,12 +329,18 @@ def build_sweep(cfg: ConfigFile) -> SweepPlan:
             f"{cfg.path}:{sec.line_of('parameter')}: parameter must be one of "
             f"{', '.join(SWEEPABLE)}, got '{parameter}'"
         )
-    start = cfg.get_float(sec, "start")
-    stop = cfg.get_float(sec, "stop")
-    steps = cfg.get_int(sec, "steps")
-    if steps < 2:
-        raise ConfigError(f"{cfg.path}:{sec.line_of('steps')}: steps must be >= 2")
-    values = tuple(start + (stop - start) * i / (steps - 1) for i in range(steps))
+
+    def ramp(lo_key: str, hi_key: str) -> tuple:
+        lo, hi = cfg.get_float(sec, lo_key), cfg.get_float(sec, hi_key)
+        for key, value in ((lo_key, lo), (hi_key, hi)):
+            if not math.isfinite(value):
+                raise cfg._err(sec.line_of(key), f"'{key}' must be finite, got {value}")
+        steps = cfg.get_int(sec, "steps")
+        if steps < 2:
+            raise cfg._err(sec.line_of("steps"), "steps must be >= 2")
+        return tuple(lo + (hi - lo) * i / (steps - 1) for i in range(steps))
+
+    values = ramp("start", "stop")
     coupled = None
     if sec.get("b_bar_start") is not None or sec.get("b_bar_stop") is not None:
         if parameter != "omega_T":
@@ -342,11 +348,7 @@ def build_sweep(cfg: ConfigFile) -> SweepPlan:
                 f"{cfg.path}:{sec.line}: a coupled b_bar schedule is only valid "
                 "when sweeping omega_T"
             )
-        c_start = cfg.get_float(sec, "b_bar_start")
-        c_stop = cfg.get_float(sec, "b_bar_stop")
-        coupled = tuple(
-            c_start + (c_stop - c_start) * i / (steps - 1) for i in range(steps)
-        )
+        coupled = ramp("b_bar_start", "b_bar_stop")
     return SweepPlan(parameter=parameter, values=values, coupled_b_bar=coupled)
 
 

@@ -11,7 +11,7 @@ has a closed form per knot pair) and finds the best candidate knot pair by a
 branch-and-bound that returns what an exhaustive O(K^2) scan would.
 
 Downstream: ``classify_against_schedule`` labels each episode zero /
-interior / cap / override against the published schedule;
+interior / cap / override against the published ``floors.Schedule``;
 ``detect_override_shift`` refits with a cap-region dummy to surface
 systematic cap-breaking; ``attribute_shift`` decomposes knot movement between
 two fitted regimes into implied political-cost and cap changes.
@@ -31,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimationError, ParameterError
-from .policy import MechanismParams, _tlc, cutoffs
+from .floors import Schedule
+from .policy import MechanismParams, cutoffs
 from .voting import bundle_check
 
 __all__ = [
@@ -329,33 +330,33 @@ def fit_tlc(
 
 
 def classify_against_schedule(
-    data: Sequence[Episode], params: MechanismParams, tol: float
+    data: Sequence[Episode], schedule: Schedule, tol: float
 ) -> list[str]:
     """Label episodes against a published schedule rather than a fit.
 
-    This is the compliance half of an audit: the published parameters are the
-    commitment, so deviations are judged against them, not against a curve
+    This is the compliance half of an audit: the published schedule is the
+    commitment, so deviations are judged against it, not against a curve
     re-estimated from possibly contaminated data (a refit absorbs systematic
     overrides into its own knots).  An episode is an override where |b -
-    schedule(theta)| > tol, else zero / interior / cap by whether theta lies
-    below, within or above the schedule's cutoffs; unlike a hinge-spline fit,
-    the schedule represents the payout jump at T when T pins the lower
-    cutoff.  A negative tol, or a shock outside the support [0, theta_bar],
-    raises ParameterError, the latter naming the first such episode (0-based
-    index).
+    schedule.payout(theta)| > tol, else zero / interior / cap by whether
+    theta lies below, within or above the cutoffs of ``schedule.card()`` (of
+    the unfloored rule without one); the payout, unlike a hinge fit, jumps at
+    a T that pins the lower cutoff.  A tol not >= 0, or a shock above
+    theta_bar (naming the first such episode, 0-based), raises ParameterError.
     """
     theta, b = _as_arrays(data)
-    outside = np.flatnonzero((theta < 0.0) | (theta > params.theta_bar))
+    theta_bar = schedule.params.theta_bar
+    outside = np.flatnonzero(theta > theta_bar)
     if outside.size:
         i = int(outside[0])
         raise ParameterError(
             f"episode {i}: theta={float(theta[i])!r} lies outside the shock support "
-            f"[0, {params.theta_bar!r}]"
+            f"[0, {theta_bar!r}]"
         )
-    if tol < 0:
+    if not tol >= 0:
         raise ParameterError(f"tol must be >= 0, got {tol}")
-    cut = cutoffs(params)
-    target = _tlc(theta, params.omega_b, params.c, params.omega_T, params.T, params.b_bar)
+    cut = cutoffs(schedule.card() or schedule.params)
+    target = schedule.payout(theta)
     return np.select(
         [np.abs(b - target) > tol, theta < cut.theta_lo, theta <= cut.theta_hi],
         [REGIME_OVERRIDE, REGIME_ZERO, REGIME_INTERIOR],
@@ -364,7 +365,7 @@ def classify_against_schedule(
 
 
 def schedule_as_fit(params: MechanismParams) -> TlcFit:
-    """A published schedule expressed as a TlcFit (for the dummy refit).
+    """A published rule (a ``Schedule.card()``) as a TlcFit, for the dummy refit.
 
     Only exact when the cost branch pins the lower cutoff (the hinge spline
     is continuous; a T-pinned schedule jumps at T).  grid_resolution is 0:

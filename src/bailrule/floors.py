@@ -18,22 +18,26 @@ cost), ``SC-Dominated`` (floor never binds; schedule unchanged), or
 will defeat a two-cutoff audit signature).  It is exact: both floor shapes
 are piecewise linear, so it compares floor and line only at the interior
 region's ends and a custom floor's knots inside it.
+
+``Schedule``, a rule plus an optional floor, is the published payout: the
+CLI's rule card, simulation, audit and plot all read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ParameterError
-from .policy import MechanismParams, _check_theta_domain, _tlc, cutoffs
+from .policy import MechanismParams, _payout, _tlc, cutoffs
 
 __all__ = [
     "ParallelFloor",
     "CustomFloor",
     "EquityFloor",
+    "Schedule",
     "apply_equity_floor",
     "classify_floor",
     "SC_PARALLEL",
@@ -44,6 +48,7 @@ __all__ = [
 SC_PARALLEL = "SC-Parallel"
 SC_DOMINATED = "SC-Dominated"
 EXTRA_KINK = "ExtraKink"
+NO_CARD = "the floored payout has no two-cutoff card"
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,10 @@ class ParallelFloor:
         if math.isnan(self.a) or math.isinf(self.a):
             raise ParameterError(f"floor intercept must be finite, got {self.a}")
 
+    @property
+    def name(self) -> str:
+        return f"parallel a={self.a!r}"
+
     def values(self, theta: np.ndarray, params: MechanismParams) -> np.ndarray:
         return _tlc(theta, params.omega_b, params.c, params.omega_T, floor=-np.inf) + self.a
 
@@ -70,7 +79,7 @@ class CustomFloor:
     """Piecewise-linear weakly increasing floor given by knots.
 
     ``theta_knots`` strictly increasing, ``b_values`` weakly increasing and
-    non-negative.  Outside the knot span the floor extends at its edge value.
+    non-negative, all finite.  Beyond the knots the edge values extend.
     """
 
     theta_knots: tuple
@@ -83,12 +92,16 @@ class CustomFloor:
         object.__setattr__(self, "b_values", bv)
         if len(tk) != len(bv) or len(tk) < 1:
             raise ParameterError("floor needs matching, non-empty knot and value lists")
+        if not all(map(math.isfinite, tk + bv)):
+            raise ParameterError(f"floor knots and values must be finite, got {tk} and {bv}")
         if any(t2 <= t1 for t1, t2 in zip(tk, tk[1:])):
             raise ParameterError("floor knots must be strictly increasing")
         if any(b2 < b1 for b1, b2 in zip(bv, bv[1:])):
             raise ParameterError("floor values must be weakly increasing")
         if bv[0] < 0:
             raise ParameterError("floor values must be non-negative")
+
+    name = "custom"
 
     def values(self, theta: np.ndarray, params: MechanismParams) -> np.ndarray:
         return np.interp(theta, self.theta_knots, self.b_values)
@@ -128,18 +141,70 @@ def classify_floor(floor: EquityFloor, params: MechanismParams) -> str:
     return EXTRA_KINK
 
 
-def apply_equity_floor(theta, floor: EquityFloor, params: MechanismParams):
-    """Floored transfer at ``theta`` plus the structural classification.
+@dataclass(frozen=True)
+class Schedule:
+    """The published payout: the rule ``params`` raised to ``floor``.
+    ``floor_class`` is ``classify_floor``'s label (None without a floor);
+    computing it at construction refuses a floor above the cap."""
 
-    Pointwise: clip(max(b_min(theta), interior candidate), 0, b_bar) for
-    admissible shocks, zero below the threshold T.  Elementwise over arrays;
-    scalar in, scalar out.  Returns ``(value, classification)``.
-    """
-    label = classify_floor(floor, params)  # first: it refuses a floor above the cap
-    arr = np.asarray(theta, dtype=float)
-    _check_theta_domain(arr, params)
-    lower = np.maximum(floor.values(arr, params), 0.0)
-    out = _tlc(arr, params.omega_b, params.c, params.omega_T, params.T, params.b_bar, lower)
-    if np.isscalar(theta) or arr.ndim == 0:
-        return float(out), label
-    return out, label
+    params: MechanismParams
+    floor: EquityFloor | None = None
+    floor_class: str | None = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        if self.floor is not None:
+            object.__setattr__(self, "floor_class", classify_floor(self.floor, self.params))
+
+    def payout(self, theta):
+        """clip(max(b_min(theta), interior candidate), 0, b_bar), zero below T;
+        without a floor, ``tlc_policy_linear`` bitwise."""
+        f, p = self.floor, self.params
+        return _payout(theta, p, None if f is None else lambda x: np.maximum(f.values(x, p), 0.0))
+
+    def card(self) -> MechanismParams | None:
+        """The TLC rule the payout equals, or None.  A parallel floor at a <= 0
+        or an SC-Dominated custom one (to 1e-12) never binds; at 0 < c*a <=
+        omega_T, whatever its label, it pays the rule at cost omega_T - c*a.
+        A binding custom floor, or c*a > omega_T, has no card."""
+        f, p = self.floor, self.params
+        if f is None or (isinstance(f, ParallelFloor) and f.a <= 0):
+            return p
+        if isinstance(f, ParallelFloor):
+            return replace(p, omega_T=p.omega_T - p.c * f.a) if p.c * f.a <= p.omega_T else None
+        return p if self.floor_class == SC_DOMINATED else None
+
+    @property
+    def no_bailout(self) -> bool:
+        """Whether the payout, weakly increasing, is zero up to theta_bar."""
+        return self.payout(self.params.theta_bar) == 0.0
+
+    def vertices(self) -> list:
+        """(theta, payout) points drawing the payout on [0, theta_bar], with a
+        riser at a jump at T.  Kinks: T, the cutoffs, where a parallel floor
+        meets 0 and b_bar, a custom floor's knots and its pieces' crossings
+        with the line (one off its piece is a harmless extra point)."""
+        p, f = self.params, self.floor
+        cut = cutoffs(p)
+        xs = [0.0, p.T, cut.theta_lo, cut.theta_hi, p.theta_bar]
+        if isinstance(f, ParallelFloor):
+            xs += [(p.omega_T + p.c * (b - f.a)) / p.omega_b for b in (0.0, p.b_bar)]
+        elif f is not None:
+            tk, bv = np.array(f.theta_knots), np.array(f.b_values)
+            t, v = np.r_[tk[0], tk], np.r_[bv[0], bv]
+            m = np.r_[0.0, np.diff(bv) / np.diff(tk), 0.0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = (v - m * t + p.omega_T / p.c) / (p.omega_b / p.c - m)
+            xs += [*tk.tolist(), *cross[np.isfinite(cross)].tolist()]
+        pts = []
+        for x in sorted({min(max(x, 0.0), p.theta_bar) for x in xs}):
+            y = self.payout(x)
+            if x == p.T and x > 0 and y > 0:
+                pts.append((x, 0.0))
+            pts.append((x, y))
+        return pts
+
+
+def apply_equity_floor(theta, floor: EquityFloor, params: MechanismParams):
+    """``Schedule(params, floor)``'s payout at ``theta`` and floor class."""
+    schedule = Schedule(params, floor)
+    return schedule.payout(theta), schedule.floor_class

@@ -149,18 +149,24 @@ def _check_theta_domain(theta: np.ndarray, params: MechanismParams) -> None:
         )
 
 
+def _payout(theta, params: MechanismParams, lower=None):
+    """``_tlc`` at ``theta`` in the support, floored at ``lower(theta)`` or 0."""
+    arr = np.asarray(theta, dtype=float)
+    _check_theta_domain(arr, params)
+    floor = 0.0 if lower is None else lower(arr)
+    out = _tlc(arr, params.omega_b, params.c, params.omega_T, params.T, params.b_bar, floor)
+    if np.isscalar(theta) or arr.ndim == 0:
+        return float(out)
+    return out
+
+
 def tlc_policy_linear(theta, params: MechanismParams):
     """Optimal transfer under the linear benefit, elementwise in theta.
 
     Returns clip((omega_b * theta - omega_T) / c, 0, b_bar) for theta >= T
     and 0 below the admissibility threshold.  Scalar in, scalar out.
     """
-    arr = np.asarray(theta, dtype=float)
-    _check_theta_domain(arr, params)
-    out = _tlc(arr, params.omega_b, params.c, params.omega_T, params.T, params.b_bar)
-    if np.isscalar(theta) or arr.ndim == 0:
-        return float(out)
-    return out
+    return _payout(theta, params)
 
 
 def _bisect_stationarity(

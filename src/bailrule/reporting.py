@@ -8,7 +8,9 @@ The audit pipeline deliberately separates two roles:
 * *compliance* (per-episode classification and the override scan) is judged
   against the published schedule itself, because a free refit absorbs
   systematic overrides into its own knots and would hide exactly the
-  behavior an audit exists to catch.
+  behavior an audit exists to catch.  That schedule is a
+  ``floors.Schedule``, floor included; without a two-cutoff card the
+  override scan and card checks are not identified.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .estimation import (
     fit_tlc,
     schedule_as_fit,
 )
+from .floors import NO_CARD, EquityFloor, Schedule
 from .policy import MechanismParams, cutoffs, knife_edge
 from .voting import WeightProfile, bundle_check, consent_cap_analytic
 
@@ -63,7 +66,8 @@ class AuditReport:
     counts: dict
     tolerance: float
     checks: list
-    override: OverrideReport
+    override: OverrideReport | None  # None without a card
+    schedule: Schedule
     attribution: ShiftAttribution | None = None
     fit_after: TlcFit | None = None
 
@@ -72,88 +76,59 @@ class AuditReport:
         return any(c.status == FAIL for c in self.checks)
 
 
-def _counts(labels) -> dict:
-    out = {"zero": 0, "interior": 0, "cap": 0, "override": 0}
-    for lab in labels:
-        out[lab] += 1
-    return out
-
-
 def _signature_checks(
-    episodes, fit: TlcFit, params: MechanismParams, override: OverrideReport
+    episodes, fit: TlcFit, card: MechanismParams | None, override: OverrideReport | None
 ) -> list:
-    checks = []
     theta, b = _as_arrays(episodes)
     tss = float(((b - b.mean()) ** 2).sum())
 
     # piecewise-linearity: the hinge fit should explain nearly everything
     if tss <= 1e-20 or fit.degenerate:
-        checks.append(SignatureCheck("piecewise-linearity", NOT_IDENTIFIED, "no payout variance"))
+        linearity = NOT_IDENTIFIED, "no payout variance"
     else:
         r2 = 1.0 - fit.sse / tss
-        status = PASS if r2 >= LINEARITY_R2 else FAIL
-        checks.append(SignatureCheck("piecewise-linearity", status, f"R^2={r2:.4f}"))
+        linearity = PASS if r2 >= LINEARITY_R2 else FAIL, f"R^2={r2:.4f}"
 
     # two-cutoff: both knots strictly inside the observed shock range
     res = max(fit.grid_resolution, 1e-12)
     lo_edge, hi_edge = float(theta.min()), float(theta.max())
     if fit.degenerate:
-        checks.append(SignatureCheck("two-cutoff", NOT_IDENTIFIED, "degenerate fit"))
+        two_cutoff = NOT_IDENTIFIED, "degenerate fit"
     elif fit.theta1 <= lo_edge + res or fit.theta2 >= hi_edge - res:
-        checks.append(
-            SignatureCheck(
-                "two-cutoff",
-                NOT_IDENTIFIED,
-                "a knot sits at the edge of the observed range; regime unobserved",
-            )
-        )
+        two_cutoff = (NOT_IDENTIFIED,
+                      "a knot sits at the edge of the observed range; regime unobserved")
     elif fit.theta2 - fit.theta1 <= res:
-        checks.append(SignatureCheck("two-cutoff", FAIL, "no interior segment"))
+        two_cutoff = FAIL, "no interior segment"
     else:
-        checks.append(
-            SignatureCheck(
-                "two-cutoff", PASS, f"knots {fit.theta1:.6g}, {fit.theta2:.6g} interior"
-            )
-        )
+        two_cutoff = PASS, f"knots {fit.theta1:.6g}, {fit.theta2:.6g} interior"
 
-    # slope-match: override-robust slope against the card's omega_b / c
-    card_slope = params.interior_slope
-    slope_est = override.slope_refit if override.identified else fit.s
-    if fit.degenerate or slope_est is None:
-        checks.append(SignatureCheck("slope-match", NOT_IDENTIFIED, "no slope estimate"))
-    else:
-        rel = abs(slope_est - card_slope) / card_slope
-        status = PASS if rel <= SLOPE_MATCH_RTOL else FAIL
-        checks.append(
-            SignatureCheck(
-                "slope-match",
-                status,
-                f"estimate {slope_est:.6g} vs card {card_slope:.6g} (rel dev {rel:.2%})",
-            )
-        )
+    slope_match = card_match = NOT_IDENTIFIED, NO_CARD
+    if card is not None:
+        # slope-match: override-robust slope against the card's omega_b / c
+        card_slope = card.interior_slope
+        slope_est = override.slope_refit if override.identified else fit.s
+        if fit.degenerate or slope_est is None:
+            slope_match = NOT_IDENTIFIED, "no slope estimate"
+        else:
+            rel = abs(slope_est - card_slope) / card_slope
+            slope_match = (PASS if rel <= SLOPE_MATCH_RTOL else FAIL,
+                           f"estimate {slope_est:.6g} vs card {card_slope:.6g} "
+                           f"(rel dev {rel:.2%})")
 
-    # card-match: fitted knots against the published cutoffs, at grid resolution
-    cut = cutoffs(params)
-    if fit.degenerate:
-        checks.append(SignatureCheck("card-match", NOT_IDENTIFIED, "degenerate fit"))
-    elif cut.theta_hi > hi_edge:
-        checks.append(
-            SignatureCheck(
-                "card-match", NOT_IDENTIFIED, "published cap cutoff beyond observed shocks"
-            )
-        )
-    else:
-        d1 = abs(fit.theta1 - cut.theta_lo)
-        d2 = abs(fit.theta2 - cut.theta_hi)
-        status = PASS if max(d1, d2) <= fit.grid_resolution else FAIL
-        checks.append(
-            SignatureCheck(
-                "card-match",
-                status,
-                f"|d theta1|={d1:.3g}, |d theta2|={d2:.3g}, resolution {fit.grid_resolution:.3g}",
-            )
-        )
-    return checks
+        # card-match: fitted knots against the published cutoffs, at grid resolution
+        cut = cutoffs(card)
+        if fit.degenerate:
+            card_match = NOT_IDENTIFIED, "degenerate fit"
+        elif cut.theta_hi > hi_edge:
+            card_match = NOT_IDENTIFIED, "published cap cutoff beyond observed shocks"
+        else:
+            d1, d2 = abs(fit.theta1 - cut.theta_lo), abs(fit.theta2 - cut.theta_hi)
+            card_match = (PASS if max(d1, d2) <= fit.grid_resolution else FAIL,
+                          f"|d theta1|={d1:.3g}, |d theta2|={d2:.3g}, "
+                          f"resolution {fit.grid_resolution:.3g}")
+    checks = zip(("piecewise-linearity", "two-cutoff", "slope-match", "card-match"),
+                 (linearity, two_cutoff, slope_match, card_match))
+    return [SignatureCheck(name, *result) for name, result in checks]
 
 
 def run_audit(
@@ -163,16 +138,19 @@ def run_audit(
     tol: float | None = None,
     episodes_after=None,
     announced=None,
+    floor: EquityFloor | None = None,
 ) -> AuditReport:
-    """Full audit: fit, classify against the published schedule, scan for
-    cap overrides at the card knots, run signature checks, and (with a
-    second regime) attribute the knot shift."""
+    """Full audit: fit, classify against the published schedule (``params``
+    raised to ``floor``), scan for cap overrides at the card knots, run
+    signature checks, and (with a second regime) attribute the knot shift."""
+    schedule = Schedule(params, floor)
+    card = schedule.card()
     fit = fit_tlc(episodes, t_admissible=params.T, knot_grid=knot_grid)
     if tol is None:
         tol = max(2.0 * fit.residual_se, 1e-9)
-    labels = classify_against_schedule(episodes, params, tol)
-    override = detect_override_shift(episodes, schedule_as_fit(params))
-    checks = _signature_checks(episodes, fit, params, override)
+    labels = classify_against_schedule(episodes, schedule, tol)
+    override = None if card is None else detect_override_shift(episodes, schedule_as_fit(card))
+    checks = _signature_checks(episodes, fit, card, override)
 
     attribution = None
     fit_after = None
@@ -184,10 +162,11 @@ def run_audit(
     return AuditReport(
         fit=fit,
         labels=labels,
-        counts=_counts(labels),
+        counts={k: labels.count(k) for k in ("zero", "interior", "cap", "override")},
         tolerance=tol,
         checks=checks,
         override=override,
+        schedule=schedule,
         attribution=attribution,
         fit_after=fit_after,
     )
@@ -201,8 +180,10 @@ def _fmt(x: float | None) -> str:
     return f"{x:.6g}"
 
 
-def render_audit_text(report: AuditReport, params: MechanismParams) -> str:
-    cut = cutoffs(params)
+def render_audit_text(report: AuditReport) -> str:
+    schedule = report.schedule
+    card = schedule.card() or schedule.params
+    cut = cutoffs(card)
     fit = report.fit
     lines = [
         "AUDIT REPORT",
@@ -212,8 +193,9 @@ def render_audit_text(report: AuditReport, params: MechanismParams) -> str:
         "",
         "published schedule:",
         f"  theta_lo={_fmt(cut.theta_lo)} theta_hi={_fmt(cut.theta_hi)} "
-        f"slope={_fmt(params.interior_slope)} cap={_fmt(params.b_bar)} T={_fmt(params.T)}"
-        + ("  [NO-BAILOUT]" if knife_edge(params) else ""),
+        f"slope={_fmt(card.interior_slope)} cap={_fmt(card.b_bar)} T={_fmt(card.T)}"
+        + ("  [NO-BAILOUT]" if schedule.no_bailout else "")
+        + (f"  floor={schedule.floor.name}" if schedule.floor is not None else ""),
         "",
         "fitted signature:",
         f"  s={_fmt(fit.s)} theta1={_fmt(fit.theta1)} theta2={_fmt(fit.theta2)} "
@@ -229,17 +211,15 @@ def render_audit_text(report: AuditReport, params: MechanismParams) -> str:
     for check in report.checks:
         lines.append(f"  {check.name:<22} {check.status:<15} {check.detail}")
     o = report.override
-    lines.append("")
-    if o.identified:
-        lines.append(
-            f"override scan:    dummy={_fmt(o.dummy)} |dummy|/rse={_fmt(o.dummy_over_rse)} "
-            f"slope_refit={_fmt(o.slope_refit)} slope_moved={o.slope_moved} "
-            f"(n_cap={o.n_cap_obs})"
-        )
+    if o is None:
+        scan = f"not identified ({NO_CARD})"
+    elif o.identified:
+        scan = (f"dummy={_fmt(o.dummy)} |dummy|/rse={_fmt(o.dummy_over_rse)} "
+                f"slope_refit={_fmt(o.slope_refit)} slope_moved={o.slope_moved} "
+                f"(n_cap={o.n_cap_obs})")
     else:
-        lines.append(
-            f"override scan:    not identified ({o.n_cap_obs} episodes above the cap cutoff)"
-        )
+        scan = f"not identified ({o.n_cap_obs} episodes above the cap cutoff)"
+    lines += ["", f"override scan:    {scan}"]
     a = report.attribution
     if a is not None:
         fa = report.fit_after

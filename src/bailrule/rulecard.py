@@ -4,7 +4,8 @@ A card states the two cutoffs, the interior slope, the cap, the threshold,
 and (when the cap comes from a legislature) the quota, plus provenance: the
 config's sha256 and a timestamp.  The timestamp honors SOURCE_DATE_EPOCH and
 otherwise uses the config file's mtime, so repeated runs over an unchanged
-config emit byte-identical cards.
+config emit byte-identical cards.  A floored card states ``Schedule.card()``
+and a ``floor_note``.
 
 The machine-readable copy is JSON with infinities encoded as the string
 "inf" (JSON proper has no infinity literal); ``card_from_json`` restores
@@ -20,9 +21,11 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from .errors import ConfigError
+from .floors import NO_CARD, Schedule
 from .policy import MechanismParams, cutoffs, knife_edge
 
-__all__ = ["RuleCard", "make_rule_card", "render_card_text", "card_to_json", "card_from_json"]
+__all__ = ["RuleCard", "make_rule_card", "floor_note", "render_card_text", "card_to_json",
+           "card_from_json"]
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,16 @@ def make_rule_card(
         config_path=config_path,
         timestamp=_timestamp_for(config_path),
     )
+
+
+def floor_note(schedule: Schedule) -> str:
+    """The floor, and whether the card's cutoffs include it ("" without one)."""
+    f = schedule.floor
+    if f is None:
+        return ""
+    if schedule.card() is None:
+        return f"floor {f.name}: {NO_CARD}; the cutoffs are the unfloored rule's"
+    return f"floor {f.name}: the cutoffs include it"
 
 
 def _fmt(x: float) -> str:

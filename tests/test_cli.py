@@ -109,6 +109,41 @@ def test_rulecard_from_legislature(tmp_path):
     assert card.tau == 0.25
 
 
+PARALLEL = "\n[floor]\ntype = parallel\na = 0.1\n"
+CROSSING = "\n[floor]\ntype = custom\ntheta_knots = 0.2, 1.0\nb_values = 0.1, 0.2\n"
+
+
+def test_rulecard_with_floor(tmp_path):
+    # the card used to ignore [floor]: the cutoffs of the unfloored rule, no note
+    cases = [
+        (BASE + PARALLEL, (0.3, 1.3), "floor parallel a=0.1: the cutoffs include it", False),
+        (BASE + CROSSING, (0.5, 1.5), "two-cutoff card; the cutoffs are the unfloored", False),
+        (BASE.replace("omega_T = 1.0", "omega_T = 7.0") + CROSSING, (3.5, 4.5), "custom", False),
+        (BASE + "\n[floor]\ntype = parallel\na = -0.1\n", (0.5, 1.5), "the cutoffs include it", False),
+        (BASE.replace("omega_T = 1.0", "omega_T = 7.0") + PARALLEL, (3.3, 4.3), "include", True),
+    ]
+    for i, (text, (lo, hi), note, dead) in enumerate(cases):
+        cfg = tmp_path / f"fl{i}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / f"out{i}"
+        assert run(["rulecard", "--config", cfg, "--out-dir", out]) == 0
+        card = card_from_json((out / "rulecard.json").read_text())
+        assert (card.theta_lo, card.theta_hi) == pytest.approx((lo, hi), abs=1e-12)
+        assert note in card.note
+        assert card.no_bailout is dead  # a custom floor pays where the rule is dead
+        assert f"note:           {card.note}" in (out / "rulecard.txt").read_text()
+
+
+def test_floor_above_cap_refused_by_every_command(tmp_path, capsys):
+    cfg = tmp_path / "high.cfg"
+    cfg.write_text(BASE + "\n[floor]\ntype = custom\ntheta_knots = 0, 3\nb_values = 0, 0.9\n")
+    data = tmp_path / "eps.csv"
+    data.write_text("theta,b\n0.5,0.0\n1.0,0.25\n1.5,0.5\n2.0,0.5\n2.5,0.5\n")
+    for cmd in (["rulecard"], ["simulate"], ["audit", "--data", data]):
+        assert run([*cmd, "--config", cfg, "--out-dir", tmp_path / "out"]) == 1
+        assert "above the consent cap 0.5" in capsys.readouterr().err
+
+
 def test_bad_config_exit_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(BASE.replace("c = 4.0", "c = -4.0"))
@@ -228,6 +263,16 @@ def test_simulate_with_floor(tmp_path):
     assert lifted  # the floor pays where the base rule would not
 
 
+def test_simulate_non_finite_floor_knot_exit_1(tmp_path, capsys):
+    # every payout used to be nan, and simulate exited 0
+    cfg = tmp_path / "fl.cfg"
+    cfg.write_text(BASE + "\n[floor]\ntype = custom\ntheta_knots = 0, inf\nb_values = 0.1, 0.2\n")
+    assert run(["simulate", "--config", cfg, "--out-dir", tmp_path]) == 1
+    assert f"error: {cfg}:12: invalid [floor]: floor knots and values must be finite" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "episodes.csv").exists()
+
+
 @pytest.mark.parametrize(
     "section",
     ["family = truncexpon\nrate = inf", "family = beta\na = inf\nb = 2.0",
@@ -248,6 +293,18 @@ def test_simulate_infinite_shock_parameter_exit_1(tmp_path, capsys, section):
 
 
 # --- audit -----------------------------------------------------------------
+
+def test_audit_of_a_dead_rule_draws_its_plot(tmp_path):
+    # the plot used to evaluate the rule at theta_lo = 3.5 > theta_bar, and
+    # the audit exited 1 after writing its report
+    cfg = tmp_path / "dead.cfg"
+    cfg.write_text(BASE.replace("omega_T = 1.0", "omega_T = 7.0"))
+    out = tmp_path / "out"
+    run(["simulate", "--config", cfg, "--seed", 2, "--out-dir", out])
+    assert run(["audit", "--config", cfg, "--data", out / "episodes.csv", "--out-dir", out]) == 0
+    assert "[NO-BAILOUT]" in (out / "audit_report.txt").read_text()
+    assert (out / "audit_plot.svg").exists()
+
 
 def test_audit_round_trip_clean(base_cfg, tmp_path, capsys):
     out = tmp_path / "out"
@@ -332,10 +389,31 @@ def test_audit_bad_csv_exit_1(base_cfg, tmp_path):
 def test_audit_negative_tol_exit_1(base_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     run(["simulate", "--config", base_cfg, "--seed", 3, "--out-dir", out])
-    code = run(["audit", "--config", base_cfg, "--data", out / "episodes.csv",
-                "--tol", -0.1, "--out-dir", out])
-    assert code == 1
-    assert "tol must be >= 0" in capsys.readouterr().err
+    for tol in (-0.1, "nan"):  # a nan tolerance used to turn override detection off
+        code = run(["audit", "--config", base_cfg, "--data", out / "episodes.csv",
+                    "--tol", tol, "--out-dir", out])
+        assert code == 1
+        assert "tol must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.02])
+def test_audit_floored_rule_passes_strict(tmp_path, noise):
+    # the audit used to ignore [floor]: a compliant floored rule failed
+    # slope-match and card-match, with most of its episodes called overrides
+    rule = BASE.replace("n = 120", "n = 1000")
+    for floor, card_checks in ((PARALLEL, "pass"), (CROSSING, "not-identified")):
+        cfg = tmp_path / "fl.cfg"
+        cfg.write_text(rule + floor)
+        out = tmp_path / f"out{card_checks}"
+        run(["simulate", "--config", cfg, "--seed", 11, "--noise", noise, "--out-dir", out])
+        assert run(["audit", "--strict", "--config", cfg, "--data", out / "episodes.csv",
+                    "--out-dir", out]) == 0
+        text = (out / "audit_report.txt").read_text()
+        assert f"floor={'parallel a=0.1' if floor == PARALLEL else 'custom'}\n" in text
+        if noise == 0.0:
+            assert "override=0\n" in text
+        for check in ("slope-match", "card-match"):
+            assert f"{check:<22} {card_checks:<15}" in text
 
 
 def test_audit_shock_outside_support_exit_1(base_cfg, tmp_path, capsys):
@@ -356,6 +434,21 @@ def test_sweep_artifacts(base_cfg, tmp_path):
     assert lines[0].startswith("omega_T,")
     assert len(lines) == 8
     assert (out / "sweep.svg").read_text().startswith("<svg ")
+
+
+@pytest.mark.parametrize("bounds, key, line", [
+    ("start = 0.1\nstop = inf\n", "stop", 15),
+    ("start = -inf\nstop = 0.1\n", "start", 14),
+    ("start = 0.5\nstop = 2.0\nb_bar_start = 0.5\nb_bar_stop = -inf\n", "b_bar_stop", 17),
+], ids=["stop", "start", "b_bar_stop"])
+def test_sweep_non_finite_bound_exit_1(tmp_path, capsys, bounds, key, line):
+    # the values interpolate between the bounds: inf made them nan, and the
+    # error cited a value the file does not hold, at no line
+    cfg = tmp_path / "sw.cfg"
+    parameter = "b_bar" if key != "b_bar_stop" else "omega_T"
+    cfg.write_text(BASE + f"\n[sweep]\nparameter = {parameter}\n{bounds}steps = 3\n")
+    assert run(["sweep", "--config", cfg, "--out-dir", tmp_path]) == 1
+    assert f"error: {cfg}:{line}: '{key}' must be finite" in capsys.readouterr().err
 
 
 # --- allocate --------------------------------------------------------------

@@ -13,6 +13,7 @@ from bailrule import (
     EstimationError,
     MechanismParams,
     ParameterError,
+    Schedule,
     TlcFit,
     attribute_shift,
     classify_against_schedule,
@@ -331,7 +332,7 @@ def test_classify_against_schedule_matches_rule():
     p = MechanismParams(2, 4, 1, T=0.1, b_bar=0.5, theta_bar=3)
     th = np.linspace(0, 3, 50)
     data = [Episode(t, tlc_policy_linear(float(t), p)) for t in th]
-    labels = classify_against_schedule(data, p, tol=1e-9)
+    labels = classify_against_schedule(data, Schedule(p), tol=1e-9)
     cut = cutoffs(p)
     for e, lab in zip(data, labels):
         assert lab != "override"
@@ -348,7 +349,7 @@ def test_classify_against_schedule_rejects_out_of_support():
     p = MechanismParams(2, 4, 1, T=0.1, b_bar=0.5, theta_bar=3)
     data = [Episode(1.0, 0.25), Episode(5.0, 0.5), Episode(4.0, 0.0)]
     with pytest.raises(ParameterError, match=r"episode 1: theta=5\.0"):
-        classify_against_schedule(data, p, tol=1e-9)
+        classify_against_schedule(data, Schedule(p), tol=1e-9)
 
 
 # --- override detection ----------------------------------------------------

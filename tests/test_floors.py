@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bailrule import (
     EXTRA_KINK,
@@ -12,11 +12,13 @@ from bailrule import (
     MechanismParams,
     ParallelFloor,
     ParameterError,
+    Schedule,
     apply_equity_floor,
     classify_floor,
     cutoffs,
     tlc_policy_linear,
 )
+from bailrule.policy import _tlc
 
 FLOOR_P = MechanismParams(omega_b=1, c=1, omega_T=0.5, T=0, b_bar=10, theta_bar=2)
 
@@ -74,6 +76,10 @@ def test_custom_floor_validation():
         CustomFloor((1.0, 0.5), (0.1, 0.2))  # knots not increasing
     with pytest.raises(ParameterError):
         CustomFloor((0.0, 1.0), (-0.1, 0.2))  # negative floor
+    for knots, values in [((0.0, np.nan), (0.1, 0.2)), ((0.0, np.inf), (0.1, 0.2)),
+                          ((0.0, 1.0), (0.1, np.inf)), ((0.0, 1.0), (np.nan, 0.2))]:
+        with pytest.raises(ParameterError, match="finite"):
+            CustomFloor(knots, values)  # every payout would be nan
 
 
 def test_floor_above_cap_rejected():
@@ -168,3 +174,69 @@ def test_classification_matches_a_dense_grid():
         assert label == classify_on_a_dense_grid(floor, p), (floor, p)
         labels.append((type(floor).__name__, label))
     assert len(set(labels)) == 5  # each shape meets each label it can have
+
+
+# --- the published schedule ---------------------------------------------------
+
+rules = st.builds(
+    lambda omega_b, c, omega_T, t, b_bar, theta_bar: MechanismParams(
+        omega_b, c, omega_T, T=t * theta_bar, b_bar=b_bar, theta_bar=theta_bar),
+    st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.floats(0.0, 2.0), st.floats(0.0, 1.0),
+    st.floats(0.0, 3.0) | st.just(np.inf), st.floats(0.5, 5.0))
+floors = st.none() | st.builds(ParallelFloor, st.floats(-1.0, 1.0)) | st.builds(
+    lambda knots, values: CustomFloor(tuple(sorted(knots)), tuple(sorted(values))),
+    st.lists(st.floats(0.0, 5.0), min_size=3, max_size=3, unique=True),
+    st.lists(st.floats(0.0, 0.3), min_size=3, max_size=3))
+
+
+@given(rules, floors, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_schedule_payout_is_the_shared_kernel(p, floor, u):
+    assume(not (isinstance(floor, CustomFloor) and max(floor.b_values) > p.b_bar))
+    theta = np.array(u) * p.theta_bar
+    schedule = Schedule(p, floor)
+    got = schedule.payout(theta)
+    lower = 0.0 if floor is None else np.maximum(floor.values(theta, p), 0.0)
+    assert np.array_equal(got, _tlc(theta, p.omega_b, p.c, p.omega_T, p.T, p.b_bar, lower))
+    assert schedule.payout(float(theta[0])) == got[0]
+    if floor is None:
+        assert np.array_equal(got, tlc_policy_linear(theta, p))
+    else:
+        assert np.array_equal(got, apply_equity_floor(theta, floor, p)[0])
+
+
+def test_card_is_the_payout_on_seeded_floors():
+    kinds = set()
+    for floor, p in random_floors(np.random.default_rng(3), 3000):
+        schedule = Schedule(p, floor)
+        card = schedule.card()
+        if card is None:
+            assert isinstance(floor, CustomFloor) or p.c * floor.a > p.omega_T
+            continue
+        grid = np.linspace(0.0, p.theta_bar, 2001)
+        want = schedule.payout(grid)
+        # a custom floor "never binds" to within classify_floor's 1e-12
+        assert np.max(np.abs(tlc_policy_linear(grid, card) - want)) <= 1e-12, (floor, p)
+        assert card.interior_slope == p.interior_slope
+        kinds.add((type(floor).__name__, schedule.floor_class))
+    # the card follows the payout's geometry, not the label
+    assert ("ParallelFloor", EXTRA_KINK) in kinds
+
+
+def test_vertices_draw_the_payout_on_seeded_floors():
+    cases = list(random_floors(np.random.default_rng(4), 1500))
+    cases += [(None, p) for _, p in cases[:300]]
+    for floor, p in cases:
+        schedule = Schedule(p, floor)
+        xs, ys = zip(*schedule.vertices())
+        assert xs[0] == 0.0 and xs[-1] == p.theta_bar and list(xs) == sorted(xs)
+        grid = np.linspace(0.0, p.theta_bar, 2001)
+        assert np.max(np.abs(np.interp(grid, xs, ys) - schedule.payout(grid))) <= 1e-12, (floor, p)
+
+
+def test_no_bailout_reads_the_floor():
+    dead = MechanismParams(omega_b=1, c=1, omega_T=3.0, T=0.5, b_bar=1.0, theta_bar=2)
+    assert Schedule(dead).no_bailout
+    assert Schedule(dead, ParallelFloor(0.5)).no_bailout  # lifted line still below 0
+    assert not Schedule(dead, CustomFloor((1.0, 2.0), (0.0, 0.2))).no_bailout
+    assert not Schedule(FLOOR_P, ParallelFloor(1.0)).no_bailout

@@ -83,7 +83,7 @@ def test_audit_counts_sum_and_checks_pass():
     assert sum(report.counts.values()) == len(eps)
     assert report.counts["override"] == 0
     assert not report.any_check_failed
-    text = render_audit_text(report, CANON)
+    text = render_audit_text(report)
     assert "signature checks" in text
     for name in ("piecewise-linearity", "two-cutoff", "slope-match", "card-match"):
         assert name in text
@@ -122,7 +122,7 @@ def test_two_regime_audit_attribution_rendered():
     report = run_audit(before, CANON, episodes_after=after, announced=(0.4, 0.0))
     assert report.attribution is not None
     assert report.attribution.implied_delta_omega_T == pytest.approx(0.4, abs=0.05)
-    text = render_audit_text(report, CANON)
+    text = render_audit_text(report)
     assert "announced" in text
 
 
