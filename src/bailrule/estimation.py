@@ -339,10 +339,11 @@ def classify_against_schedule(
     re-estimated from possibly contaminated data (a refit absorbs systematic
     overrides into its own knots).  An episode is an override where |b -
     schedule.payout(theta)| > tol, else zero / interior / cap by whether
-    theta lies below, within or above the cutoffs of ``schedule.card()`` (of
-    the unfloored rule without one); the payout, unlike a hinge fit, jumps at
-    a T that pins the lower cutoff.  A tol not >= 0, or a shock above
-    theta_bar (naming the first such episode, 0-based), raises ParameterError.
+    theta lies below, within or above the cutoffs of ``schedule.card()``; the
+    payout, unlike a hinge fit, jumps at a T that pins the lower cutoff.
+    Without a card, by whether the payout is 0, below b_bar or at b_bar.  A
+    tol not >= 0, or a shock above theta_bar (naming the first such episode,
+    0-based), raises ParameterError.
     """
     theta, b = _as_arrays(data)
     theta_bar = schedule.params.theta_bar
@@ -355,10 +356,15 @@ def classify_against_schedule(
         )
     if not tol >= 0:
         raise ParameterError(f"tol must be >= 0, got {tol}")
-    cut = cutoffs(schedule.card() or schedule.params)
+    card = schedule.card()
     target = schedule.payout(theta)
+    if card is None:
+        regions = [target == 0.0, target != schedule.params.b_bar]
+    else:
+        cut = cutoffs(card)
+        regions = [theta < cut.theta_lo, theta <= cut.theta_hi]
     return np.select(
-        [np.abs(b - target) > tol, theta < cut.theta_lo, theta <= cut.theta_hi],
+        [np.abs(b - target) > tol, *regions],
         [REGIME_OVERRIDE, REGIME_ZERO, REGIME_INTERIOR],
         REGIME_CAP,
     ).tolist()

@@ -134,30 +134,40 @@ def cutoffs(params: MechanismParams) -> Cutoffs:
 def _tlc(theta, omega_b, c, omega_T, T=-math.inf, b_bar=math.inf, floor=0.0):
     """The one copy of the schedule: clip((omega_b * theta - omega_T) / c,
     floor, b_bar), zeroed where theta < T, elementwise over array arguments.
+    A float theta takes plain float arithmetic, which gives np.clip's bits
+    (both keep the first of two equal values) without building 0-d arrays.
 
     floor = 0 is the TLC rule, a larger floor raises the line to it before
     the cap (an equity floor), and floor = -inf with the defaults is the bare
     interior line."""
     line = (omega_b * theta - omega_T) / c
+    if isinstance(theta, float):
+        return 0.0 if theta < T else min(max(line, floor), b_bar)
     return np.where(theta < T, 0.0, np.clip(line, floor, b_bar))
 
 
-def _check_theta_domain(theta: np.ndarray, params: MechanismParams) -> None:
-    if np.any(theta < 0) or np.any(theta > params.theta_bar) or np.any(np.isnan(theta)):
+def _check_theta_domain(theta, params: MechanismParams) -> None:
+    """Raise unless theta (a float or an array) lies in [0, theta_bar]; a nan
+    fails both comparisons."""
+    if isinstance(theta, float):
+        inside = 0.0 <= theta <= params.theta_bar
+    else:
+        inside = np.all((0.0 <= theta) & (theta <= params.theta_bar))
+    if not inside:
         raise ParameterError(
             f"theta must lie in [0, theta_bar]=[0, {params.theta_bar}]"
         )
 
 
 def _payout(theta, params: MechanismParams, lower=None):
-    """``_tlc`` at ``theta`` in the support, floored at ``lower(theta)`` or 0."""
-    arr = np.asarray(theta, dtype=float)
-    _check_theta_domain(arr, params)
-    floor = 0.0 if lower is None else lower(arr)
-    out = _tlc(arr, params.omega_b, params.c, params.omega_T, params.T, params.b_bar, floor)
-    if np.isscalar(theta) or arr.ndim == 0:
-        return float(out)
-    return out
+    """``_tlc`` at ``theta`` in the support, floored at ``lower(theta)`` or 0.
+    A scalar theta (Python or numpy float or int) stays a float throughout."""
+    scalar = isinstance(theta, (float, int, np.floating, np.integer))
+    x = float(theta) if scalar else np.asarray(theta, dtype=float)
+    _check_theta_domain(x, params)
+    floor = 0.0 if lower is None else lower(x)
+    out = _tlc(x, params.omega_b, params.c, params.omega_T, params.T, params.b_bar, floor)
+    return float(out) if scalar or x.ndim == 0 else out
 
 
 def tlc_policy_linear(theta, params: MechanismParams):
@@ -205,7 +215,7 @@ def tlc_policy_general(theta: float, g: MarginalBenefit, params: MechanismParams
     stationarity condition G(b, theta) = omega_T + c * b on (0, b_bar).
     """
     theta = float(theta)
-    _check_theta_domain(np.asarray(theta), params)
+    _check_theta_domain(theta, params)
     if theta < params.T or params.b_bar == 0.0:
         return 0.0
     g0 = g(0.0, theta)

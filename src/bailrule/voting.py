@@ -2,17 +2,19 @@
 
 A transfer b passes a legislature when the weighted support of members whose
 private support ratio x clears b / theta reaches the quota tau (ties pass).
-Taxpayer members always vote no.  ``empirical_cap`` computes the largest
-passing transfer for a finite legislature exactly by a sorted breakpoint
-scan; ``consent_cap_analytic`` is its population analogue
-T * Hinv(1 - tau / w_B), which pins the admissible-shock-uniform cap used by
-MechanismParams.b_bar.
+Taxpayer members always vote no.  A ``FiniteLegislature`` sorts its
+thresholds once and keeps their suffix weight sums; for theta >= 0 the
+breakpoints x_r * theta keep that order, so ``empirical_cap`` (the largest
+passing transfer, exact) is one binary search and ``aggregate_support`` one
+product and one binary search per call.  ``consent_cap_analytic`` is the
+population analogue T * Hinv(1 - tau / w_B), which pins the
+admissible-shock-uniform cap used by MechanismParams.b_bar.
 
 At atoms of the threshold distribution the two generalized inverses of H
-disagree; the finite scan is ground truth, and it matches the sup-convention
-inverse sup{x : H(x-) <= u}, which is what each threshold distribution's
-``cap_quantile`` implements.  ``UniformThreshold.sample`` draws the members
-of a sampled legislature.
+disagree; a finite legislature is ground truth, and it matches the
+sup-convention inverse sup{x : H(x-) <= u}, which is what each threshold
+distribution's ``cap_quantile`` implements.  ``UniformThreshold.sample``
+draws the members of a sampled legislature.
 """
 
 from __future__ import annotations
@@ -133,7 +135,9 @@ class FiniteLegislature:
 
     Weights (beneficiary plus the pooled taxpayer bloc) must sum to 1.
     Taxpayer members always vote against any positive transfer, so only the
-    beneficiary side needs individual thresholds.
+    beneficiary side needs individual thresholds.  ``weights`` and
+    ``thresholds`` are read-only copies; ``_x`` holds the thresholds sorted
+    (stable) and ``_suffix[k]`` the total weight of ``_x[k:]``.
     """
 
     def __init__(
@@ -142,8 +146,8 @@ class FiniteLegislature:
         beneficiary_thresholds: Sequence[float],
         taxpayer_weight: float,
     ) -> None:
-        w = np.asarray(beneficiary_weights, dtype=float)
-        x = np.asarray(beneficiary_thresholds, dtype=float)
+        w = np.array(beneficiary_weights, dtype=float)
+        x = np.array(beneficiary_thresholds, dtype=float)
         taxpayer_weight = float(taxpayer_weight)
         if w.shape != x.shape or w.ndim != 1:
             raise ParameterError("weights and thresholds must be matching vectors")
@@ -155,37 +159,28 @@ class FiniteLegislature:
             raise ParameterError(
                 f"weights must sum to 1, got {w.sum() + taxpayer_weight}"
             )
+        w.flags.writeable = x.flags.writeable = False
         self.weights = w
         self.thresholds = x
         self.taxpayer_weight = taxpayer_weight
-
-
-def _support_steps(theta: float, leg: FiniteLegislature) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints x_r * theta sorted ascending, with suffix weight sums.
-
-    suffix[k] is the total weight of members whose breakpoint is at or above
-    breakpoints[k]; both ``aggregate_support`` and ``empirical_cap`` read off
-    this one array so their pass/fail decisions agree bit-for-bit.
-    """
-    bp = leg.thresholds * theta
-    order = np.argsort(bp, kind="stable")
-    bp = bp[order]
-    suffix = np.cumsum(leg.weights[order][::-1])[::-1]
-    return bp, suffix
+        order = np.argsort(x, kind="stable")
+        self._x = x[order]
+        self._suffix = np.cumsum(w[order][::-1])[::-1]
 
 
 def aggregate_support(b: float, theta: float, leg: FiniteLegislature) -> float:
     """Weighted yes-vote share for transfer b at shock theta.
 
     A beneficiary votes yes iff b <= x_r * theta; taxpayers contribute 0.
-    Weakly decreasing in b and weakly increasing in theta.
+    Weakly decreasing in b and weakly increasing in theta, exactly: the
+    breakpoints ``leg._x * theta`` are sorted and the suffix sums fixed, so a
+    call is one O(N) product and one binary search, with no sort.
     """
     b, theta = float(b), float(theta)
     if b < 0 or theta < 0:
         raise ParameterError("b and theta must be >= 0")
-    bp, suffix = _support_steps(theta, leg)
-    idx = int(np.searchsorted(bp, b, side="left"))
-    return float(suffix[idx]) if idx < bp.size else 0.0
+    idx = int(np.searchsorted(leg._x * theta, b, side="left"))
+    return float(leg._suffix[idx]) if idx < leg._x.size else 0.0
 
 
 def empirical_cap(theta: float, leg: FiniteLegislature, tau: float) -> float:
@@ -193,18 +188,18 @@ def empirical_cap(theta: float, leg: FiniteLegislature, tau: float) -> float:
 
     The support function only steps down just past a breakpoint x_r * theta,
     so the passing set's supremum is the largest breakpoint whose suffix
-    weight reaches tau; an empty passing set returns 0.
+    weight reaches tau; an empty passing set returns 0.  The suffix sums are
+    non-increasing and do not depend on theta, so a call is one O(log N)
+    binary search.
     """
     theta, tau = float(theta), float(tau)
     if theta < 0:
         raise ParameterError(f"theta must be >= 0, got {theta}")
     if not 0 < tau <= 1:
         raise ParameterError(f"tau must lie in (0, 1], got {tau}")
-    bp, suffix = _support_steps(theta, leg)
-    qualifying = np.nonzero(suffix >= tau)[0]
-    if qualifying.size == 0:
-        return 0.0
-    return float(bp[qualifying[-1]])
+    # the reversed suffix is ascending: k is the last index with suffix >= tau
+    k = leg._x.size - int(np.searchsorted(leg._suffix[::-1], tau)) - 1
+    return float(leg._x[k]) * theta if k >= 0 else 0.0
 
 
 def consent_cap_analytic(profile: WeightProfile) -> float:
@@ -212,7 +207,7 @@ def consent_cap_analytic(profile: WeightProfile) -> float:
     exceeds the beneficiary bloc entirely.
 
     Uses the sup-convention inverse so the value agrees with the
-    finite-legislature scan at atoms of H.
+    finite legislature's cap at atoms of H.
     """
     if profile.tau > profile.w_beneficiary:
         return 0.0

@@ -416,6 +416,24 @@ def test_audit_floored_rule_passes_strict(tmp_path, noise):
             assert f"{check:<22} {card_checks:<15}" in text
 
 
+def test_audit_labels_a_cardless_floor_by_its_payout(tmp_path):
+    # without a card the labels came from the unfloored rule's cutoffs, so
+    # episodes the crossing floor pays (0.1 from T = 0.1) were labelled zero
+    cfg = tmp_path / "fl.cfg"
+    cfg.write_text(BASE.replace("n = 120", "n = 1000") + CROSSING)
+    out = tmp_path / "out"
+    run(["simulate", "--config", cfg, "--seed", 11, "--out-dir", out])
+    assert run(["audit", "--config", cfg, "--data", out / "episodes.csv", "--out-dir", out]) == 0
+    rows = [line.split(",") for line in (out / "classifications.csv").read_text().split("\n")[1:-1]]
+    labels = {}
+    for _theta, b, label in rows:
+        labels.setdefault(label, []).append(float(b))
+    assert set(labels) == {"zero", "interior", "cap"}
+    assert max(labels["zero"]) == 0.0
+    assert min(labels["interior"]) == 0.1 and max(labels["interior"]) < 0.5
+    assert set(labels["cap"]) == {0.5}
+
+
 def test_audit_shock_outside_support_exit_1(base_cfg, tmp_path, capsys):
     data = tmp_path / "eps.csv"
     data.write_text("theta,b\n0.5,0.0\n1.0,0.25\n1.5,0.5\n2.0,0.5\n5.0,0.5\n")

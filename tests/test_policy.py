@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bailrule import (
     MarginalBenefit,
@@ -139,6 +139,38 @@ def test_policy_vectorized_matches_scalar():
     assert vec.shape == thetas.shape
     for t, v in zip(thetas, vec):
         assert v == tlc_policy_linear(float(t), CANON)
+
+
+@given(params_st(allow_inf_cap=True), st.floats(0.0, 1.0))
+@example(MechanismParams(1.0, 1.0, omega_T=0.0, T=0.0, b_bar=1.0, theta_bar=1.0), 0.5)
+@example(MechanismParams(2.0, 4.0, omega_T=1.0, T=0.1, b_bar=math.inf, theta_bar=3.0), 0.5)
+@settings(max_examples=300, deadline=None)
+def test_scalar_path_is_the_array_path_bitwise(p, frac):
+    # -0.0 with omega_T = 0 pays -0.0 on both paths
+    cut = cutoffs(p)
+    thetas = [0.0, -0.0, p.T, cut.theta_lo, cut.theta_hi, p.theta_bar, frac * p.theta_bar]
+    thetas = [t for t in thetas if t <= p.theta_bar]
+    inputs = [*thetas, *map(np.float64, thetas), *range(int(p.theta_bar) + 1)]
+    scalar = [tlc_policy_linear(t, p) for t in inputs]
+    assert all(type(v) is float for v in scalar)
+    assert np.array(scalar).tobytes() == tlc_policy_linear(np.array(inputs, dtype=float), p).tobytes()
+
+
+@given(params_st(allow_inf_cap=True))
+@settings(max_examples=100, deadline=None)
+def test_out_of_support_shock_raises_alike_on_every_path(p):
+    g = MarginalBenefit(lambda b, theta: p.omega_b * theta)
+    want = f"theta must lie in [0, theta_bar]=[0, {p.theta_bar}]"
+    for bad in (math.nan, -0.1, np.float64(-1e-300), np.nextafter(p.theta_bar, math.inf)):
+        for call in (
+            lambda: tlc_policy_linear(bad, p),
+            lambda: tlc_policy_linear(np.asarray(bad), p),
+            lambda: tlc_policy_linear(np.array([0.0, bad]), p),
+            lambda: tlc_policy_general(bad, g, p),
+        ):
+            with pytest.raises(ParameterError) as err:
+                call()
+            assert str(err.value) == want
 
 
 @given(params_st(allow_inf_cap=True), st.floats(0.0, 1.0))

@@ -7,7 +7,7 @@ distribution (the one place the two generalized-inverse conventions differ).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bailrule import (
     DiscreteThreshold,
@@ -147,6 +147,65 @@ def test_support_monotonicity(raw, theta, b, db, dtheta):
     y = aggregate_support(b, theta, leg)
     assert aggregate_support(b + db, theta, leg) <= y + 1e-15
     assert aggregate_support(b, theta + dtheta, leg) >= y - 1e-15
+
+
+@given(legislatures, st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_support_monotone_with_no_slack(raw, theta, b, db, dtheta):
+    # the suffix sums are summed once, in threshold order, whatever theta is
+    leg = normalize(raw)
+    y = aggregate_support(b, theta, leg)
+    assert aggregate_support(b + db, theta, leg) <= y
+    assert aggregate_support(b, theta + dtheta, leg) >= y
+
+
+# Weights in units of 1/64 sum exactly in any order, so a vote count in plain
+# Python is an exact oracle; thresholds repeat, and weights may be zero.
+dyadic_legislatures = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 8), min_size=n, max_size=n),
+        st.lists(st.one_of(st.sampled_from([0.0, 0.4, 0.8, 1.3]), st.floats(0.0, 2.0)),
+                 min_size=n, max_size=n),
+    )
+)
+
+
+def brute_support(b, theta, weights, xs):
+    return sum(w for w, x in zip(weights, xs) if b <= x * theta)
+
+
+def brute_cap(theta, weights, xs, tau):
+    passing = [x * theta for x in xs if brute_support(x * theta, theta, weights, xs) >= tau]
+    return max(passing, default=0.0)
+
+
+@given(dyadic_legislatures, st.one_of(st.integers(1, 64).map(lambda j: j / 64),
+                                      st.floats(0.001, 1.0)),
+       st.one_of(st.just(0.0), st.floats(0.0, 3.0)), st.floats(0.0, 3.0))
+@example(([16, 0, 16, 16, 16], [0.4, 0.4, 0.8, 0.8, 1.3]), 1.0, 1.5, 0.6)
+@example(([16, 0, 16, 16, 16], [0.4, 0.4, 0.8, 0.8, 1.3]), 1.0, 0.0, 0.0)
+@example(([0, 4, 4], [0.8, 0.8, 0.4]), 8 / 64, 1.0, 0.8)
+@settings(max_examples=300, deadline=None)
+def test_cap_and_support_match_a_brute_vote_count(raw, tau, theta, b):
+    units, xs = raw
+    weights = [u / 64 for u in units]
+    leg = FiniteLegislature(weights, xs, 1 - sum(units) / 64)
+    assert empirical_cap(theta, leg, tau) == brute_cap(theta, weights, xs, tau)
+    for bb in (b, *(x * theta for x in xs)):
+        assert aggregate_support(bb, theta, leg) == brute_support(bb, theta, weights, xs)
+
+
+def test_legislature_keeps_read_only_copies():
+    w, x = np.array([0.3, 0.3]), np.array([0.4, 0.8])
+    leg = FiniteLegislature(w, x, taxpayer_weight=0.4)
+    cap = empirical_cap(1.0, leg, tau=0.3)
+    w[:], x[:] = 0.0, 5.0
+    assert empirical_cap(1.0, leg, tau=0.3) == cap == 0.8
+    assert aggregate_support(0.5, 1.0, leg) == 0.3
+    for arr in (leg.thresholds, leg.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_convergence_to_analytic_cap():
