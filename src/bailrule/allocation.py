@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .policy import MechanismParams, _tlc, tlc_policy_linear
+from .policy import MechanismParams, _cutoffs, _tlc, tlc_policy_linear
 
 __all__ = [
     "AllocationProblem",
@@ -219,8 +219,6 @@ def cap_ordering_report(
     if lambda_B is None:
         lambda_B = allocate(problem).lambda_B
     omega_b, c, omega_T, T, b_bar, _theta = _columns(problem)
-    shifted = omega_T + lambda_B
-    # the operation order of policy.cutoffs on the shifted rule
-    theta_hi = np.maximum(np.maximum(T, shifted / omega_b), (shifted + c * b_bar) / omega_b)
+    _theta_lo, theta_hi = _cutoffs(omega_b, c, omega_T + lambda_B, T, b_bar)
     order = np.argsort(theta_hi, kind="stable")
     return list(zip(order.tolist(), theta_hi[order].tolist()))

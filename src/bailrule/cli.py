@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ from .errors import (
     NumericalInconsistencyError,
     ParameterError,
 )
-from .estimation import predict
+from .estimation import _KNOT_GRID, predict
 from .floors import Schedule
 from .policy import cutoffs
 from .reporting import (
@@ -53,7 +52,7 @@ from .reporting import (
     run_sweep,
     sweep_csv,
 )
-from .rulecard import card_to_json, floor_note, make_rule_card, render_card_text
+from .rulecard import card_to_json, make_rule_card, render_card_text
 from .svgplot import line_chart, scatter_chart
 
 OUT_DIR_ENV = "BAILRULE_OUT_DIR"
@@ -83,13 +82,7 @@ def cmd_rulecard(args) -> int:
     params = build_mechanism(cfg)
     schedule = Schedule(params, build_floor(cfg))
     profile = build_weight_profile(cfg, params.T)
-    card = make_rule_card(
-        schedule.card() or params,
-        config_sha256=cfg.sha256,
-        config_path=cfg.path,
-        tau=profile.tau if profile else None,
-    )
-    card = replace(card, note=floor_note(schedule), no_bailout=schedule.no_bailout)
+    card = make_rule_card(schedule, cfg.sha256, cfg.path, profile.tau if profile else None)
     out = _out_dir(args)
     _write(out / "rulecard.txt", render_card_text(card))
     _write(out / "rulecard.json", card_to_json(card))
@@ -113,6 +106,8 @@ def cmd_simulate(args) -> int:
         )
     if not 0 <= args.noise < np.inf:
         raise ParameterError(f"noise must be finite and >= 0, got {args.noise}")
+    if args.seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {args.seed}")
 
     rng = np.random.default_rng(args.seed)
     theta = np.asarray(dist.rvs(n, rng), dtype=float)
@@ -248,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--data", action="append", required=True,
         help="episode CSV; pass twice for a before/after regime comparison",
     )
-    p.add_argument("--knot-grid", type=int, default=201, help="knot grid size (default 201)")
+    p.add_argument("--knot-grid", type=int, default=_KNOT_GRID,
+                   help="knot grid size (default %(default)s)")
     p.add_argument("--tol", type=float, default=None, help="compliance tolerance override")
     p.add_argument("--strict", action="store_true", help="exit 3 if a signature check fails")
     p.set_defaults(func=cmd_audit)

@@ -23,7 +23,7 @@ from .allocation import AllocationProblem
 from .distributions import BetaShock, ShockDistribution, TruncatedExponentialShock, UniformShock
 from .errors import ConfigError, ParameterError
 from .floors import CustomFloor, EquityFloor, ParallelFloor
-from .policy import MechanismParams
+from .policy import _PARAM_NAMES, MechanismParams
 from .voting import (
     DiscreteThreshold,
     PoliticalCostSpec,
@@ -64,14 +64,14 @@ class Section:
 
 #: The keys each known section kind accepts; other kinds are not checked.
 _KEYS = {
-    "mechanism": {"omega_b", "c", "omega_T", "T", "b_bar", "theta_bar"},
+    "mechanism": set(_PARAM_NAMES),
     "legislature": {"w_beneficiary", "tau", "h_family", "h_lo", "h_hi", "h_atoms",
                     "h_masses", "lambda0", "lambda1", "salience"},
     "distribution": {"family", "rate", "a", "b"},
     "floor": {"type", "a", "theta_knots", "b_values"},
     "sweep": {"parameter", "start", "stop", "steps", "b_bar_start", "b_bar_stop"},
     "treasury": {"budget"},
-    "municipality": {"omega_b", "c", "omega_T", "T", "b_bar", "theta_bar", "theta"},
+    "municipality": {*_PARAM_NAMES, "theta"},
     "simulate": {"n", "override_shift", "screening_beta"},
     "announced": {"delta_omega_T", "delta_b_bar"},
 }
@@ -117,29 +117,28 @@ class ConfigFile:
             raise self._err(sec.line_of(key), f"'{key}' must be a number, got '{text}'")
         return value
 
-    def get_float(self, sec: Section, key: str, default: float | None = None) -> float:
+    def _raw(self, sec: Section, key: str, required: bool) -> str | None:
+        """The text of ``key``, or None when it is absent and not ``required``."""
         raw = sec.get(key)
-        if raw is None:
-            if default is not None:
-                return default
+        if raw is None and required:
             raise self._err(sec.line, f"[{sec.name}] is missing required key '{key}'")
-        return self._number(sec, key, raw)
+        return raw
+
+    def get_float(self, sec: Section, key: str, default: float | None = None) -> float:
+        raw = self._raw(sec, key, default is None)
+        return default if raw is None else self._number(sec, key, raw)
 
     def get_int(self, sec: Section, key: str, default: int | None = None) -> int:
-        raw = sec.get(key)
+        raw = self._raw(sec, key, default is None)
         if raw is None:
-            if default is not None:
-                return default
-            raise self._err(sec.line, f"[{sec.name}] is missing required key '{key}'")
+            return default
         try:
             return int(raw)
         except ValueError:
             raise self._err(sec.line_of(key), f"'{key}' must be an integer, got '{raw}'") from None
 
     def get_floats(self, sec: Section, key: str) -> list:
-        raw = sec.get(key)
-        if raw is None:
-            raise self._err(sec.line, f"[{sec.name}] is missing required key '{key}'")
+        raw = self._raw(sec, key, True)
         return [self._number(sec, key, part.strip()) for part in raw.split(",") if part.strip()]
 
 
@@ -261,14 +260,10 @@ def build_mechanism(cfg: ConfigFile) -> MechanismParams:
                 "section to derive the consent cap from"
             )
         b_bar = consent_cap_analytic(profile)
+    resolved = {"omega_T": omega_T, "T": T, "b_bar": b_bar}
     with _located(cfg, sec):
         return MechanismParams(
-            omega_b=cfg.get_float(sec, "omega_b"),
-            c=cfg.get_float(sec, "c"),
-            omega_T=omega_T,
-            T=T,
-            b_bar=b_bar,
-            theta_bar=cfg.get_float(sec, "theta_bar"),
+            *(resolved[k] if k in resolved else cfg.get_float(sec, k) for k in _PARAM_NAMES)
         )
 
 
@@ -366,14 +361,7 @@ def build_allocation_problem(cfg: ConfigFile) -> tuple[AllocationProblem, list]:
             continue
         name = sec.name[len("municipality"):].strip() or f"#{len(names) + 1}"
         with _located(cfg, cfg._checked(sec, "municipality")):
-            p = MechanismParams(
-                omega_b=cfg.get_float(sec, "omega_b"),
-                c=cfg.get_float(sec, "c"),
-                omega_T=cfg.get_float(sec, "omega_T"),
-                T=cfg.get_float(sec, "T"),
-                b_bar=cfg.get_float(sec, "b_bar"),
-                theta_bar=cfg.get_float(sec, "theta_bar"),
-            )
+            p = MechanismParams(*(cfg.get_float(sec, key) for key in _PARAM_NAMES))
         theta = cfg.get_float(sec, "theta")
         names.append(name)
         munis.append((p, theta))

@@ -73,10 +73,6 @@ class ShockDistribution:
         x = self.theta_bar * self._ppf(np.where(inner, q, 0.5))
         return np.select([inner, q == 0.0, q == 1.0], [x, 0.0, self.theta_bar], np.nan)[()]
 
-    # quantile == generalized inverse of the cdf; alias kept for callers that
-    # speak distribution-theory rather than scipy.
-    quantile = ppf
-
     def rvs(self, size: int, rng: np.random.Generator):
         return self.theta_bar * self._draws(size, rng)
 

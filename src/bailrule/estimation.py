@@ -6,9 +6,12 @@ The regression model is a two-knot hinge spline with one shared slope,
     theta2 >= theta1 >= T,   s >= 0,
 
 whose fitted shape is exactly a TLC schedule: zero, then linear with slope s,
-then flat at s * (theta2 - theta1).  ``fit_tlc`` profiles the slope out (it
-has a closed form per knot pair) and finds the best candidate knot pair by a
-branch-and-bound that returns what an exhaustive O(K^2) scan would.
+then flat at s * (theta2 - theta1).  Its regressor, the hinge
+clip(theta, theta1, theta2) - theta1, is written once, in ``_hinge``, which
+``predict``, ``fit_tlc``'s refit and ``detect_override_shift`` call.
+``fit_tlc`` profiles the slope out (it has a closed form per knot pair) and
+finds the best candidate knot pair by a branch-and-bound that returns what an
+exhaustive O(K^2) scan would.
 
 Downstream: ``classify_against_schedule`` labels each episode zero /
 interior / cap / override against the published ``floors.Schedule``;
@@ -49,10 +52,11 @@ __all__ = [
     "attribute_shift",
 ]
 
-REGIME_ZERO = "zero"
-REGIME_INTERIOR = "interior"
-REGIME_CAP = "cap"
-REGIME_OVERRIDE = "override"
+#: The episode labels ``classify_against_schedule`` gives, in report order.
+_REGIMES = ("zero", "interior", "cap", "override")
+
+#: Default size of the uniform knot grid ``fit_tlc`` searches.
+_KNOT_GRID = 201
 
 
 def _valid(x):
@@ -136,14 +140,21 @@ class TlcFit:
     n_obs: int
     t_admissible: float
     grid_resolution: float
-    residual_se: float = 0.0
     degenerate: bool = False
-    no_interior: bool = False
     search: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def cap_level(self) -> float:
         return self.s * (self.theta2 - self.theta1)
+
+    @property
+    def residual_se(self) -> float:
+        """sqrt(sse / (n_obs - 3)), the three being the slope and two knots."""
+        return math.sqrt(self.sse / max(self.n_obs - 3, 1))
+
+    @property
+    def no_interior(self) -> bool:
+        return self.theta1 == self.theta2
 
 
 def _as_arrays(data: Sequence[Episode]) -> tuple[np.ndarray, np.ndarray]:
@@ -237,18 +248,22 @@ def _knot_search(ts, bs, cand, idx, q_floor, gain):
     return divmod(-best[1], K), (visited, pairs, dropped / best[0] - 1 if best[0] else -1.0)
 
 
+def _hinge(theta, t1: float, t2: float):
+    """The fit's regressor (theta - t1)_+ - (theta - t2)_+ for t1 <= t2."""
+    return np.clip(theta, t1, t2) - t1
+
+
 def predict(theta, fit: TlcFit):
-    """Fitted schedule at ``theta``: clip(s * (clip(theta,t1,t2) - t1), >= 0)."""
+    """Fitted schedule at ``theta``: max(s * _hinge(theta), 0)."""
     arr = np.asarray(theta, dtype=float)
-    x = np.clip(arr, fit.theta1, fit.theta2) - fit.theta1
-    out = np.maximum(fit.s * x, 0.0)
+    out = np.maximum(fit.s * _hinge(arr, fit.theta1, fit.theta2), 0.0)
     return float(out) if arr.ndim == 0 else out
 
 
 def fit_tlc(
     data: Sequence[Episode],
     t_admissible: float,
-    knot_grid: int = 201,
+    knot_grid: int = _KNOT_GRID,
 ) -> TlcFit:
     """Profile least squares over knot pairs with closed-form slope.
 
@@ -302,7 +317,7 @@ def fit_tlc(
 
     # Recompute the winning pair directly: the ranking form sum(b^2) - gain
     # loses all significance once the fit is near-perfect.
-    x = np.clip(theta, t1, t2) - t1
+    x = _hinge(theta, t1, t2)
     xx = float(x @ x)
     slope = max(0.0, float(x @ b) / xx) if xx > q_floor else 0.0
     resid = b - np.maximum(slope * x, 0.0)
@@ -312,19 +327,15 @@ def fit_tlc(
     if not (math.isfinite(slope) and math.isfinite(sse)):
         raise EstimationError("the fit overflows a float at payouts this large")
 
-    n = len(data)
-    residual_se = math.sqrt(sse / max(n - 3, 1))
     return TlcFit(
         s=slope,
         theta1=t1,
         theta2=t2,
         sse=sse,
-        n_obs=n,
+        n_obs=len(data),
         t_admissible=t_admissible,
         grid_resolution=resolution,
-        residual_se=residual_se,
         degenerate=bool(np.all(b == 0.0)),
-        no_interior=(t1 == t2),
         search=search,
     )
 
@@ -363,10 +374,9 @@ def classify_against_schedule(
     else:
         cut = cutoffs(card)
         regions = [theta < cut.theta_lo, theta <= cut.theta_hi]
+    zero, interior, cap, override = _REGIMES
     return np.select(
-        [np.abs(b - target) > tol, *regions],
-        [REGIME_OVERRIDE, REGIME_ZERO, REGIME_INTERIOR],
-        REGIME_CAP,
+        [np.abs(b - target) > tol, *regions], [override, zero, interior], cap
     ).tolist()
 
 
@@ -420,7 +430,7 @@ def detect_override_shift(data: Sequence[Episode], fit: TlcFit) -> OverrideRepor
     n_cap = int(cap_mask.sum())
     if n_cap < 2:
         return OverrideReport(identified=False, n_cap_obs=n_cap)
-    x = np.clip(theta, fit.theta1, fit.theta2) - fit.theta1
+    x = _hinge(theta, fit.theta1, fit.theta2)
     design = np.column_stack([x, cap_mask.astype(float)])
     coef, *_ = np.linalg.lstsq(design, b, rcond=None)
     slope_new, dummy = float(coef[0]), float(coef[1])

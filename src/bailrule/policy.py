@@ -10,16 +10,17 @@ admissibility threshold on the shock and a hard consent cap on the transfer:
 With the linear benefit B = omega_b * theta * b the optimum is the interior
 candidate (omega_b * theta - omega_T) / c projected onto [0, b_bar]: zero
 below a lower activation cutoff, linear in between, flat at the cap above an
-upper cutoff.  ``tlc_policy_linear`` evaluates that closed form;
-``tlc_policy_general`` solves the same box-constrained concave program for an
-arbitrary declared marginal benefit via its three KKT branches plus bisection
-on the stationarity condition.
+upper cutoff.  Each closed form is written once, elementwise: ``_tlc`` the
+schedule, behind ``tlc_policy_linear``, and ``_cutoffs`` its two cutoffs,
+behind ``cutoffs``.  ``tlc_policy_general`` solves the same box-constrained
+concave program for an arbitrary declared marginal benefit via its three KKT
+branches plus bisection on the stationarity condition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
@@ -71,7 +72,7 @@ class MechanismParams:
     theta_bar: float
 
     def __post_init__(self) -> None:
-        for name in ("omega_b", "c", "omega_T", "T", "b_bar", "theta_bar"):
+        for name in _PARAM_NAMES:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not 0 < self.omega_b < math.inf:
             raise ParameterError(f"omega_b must be finite and > 0, got {self.omega_b}")
@@ -92,6 +93,10 @@ class MechanismParams:
     def interior_slope(self) -> float:
         """Slope of the interior segment, omega_b / c."""
         return self.omega_b / self.c
+
+
+#: The six parameter names, in field (and constructor) order.
+_PARAM_NAMES = tuple(f.name for f in fields(MechanismParams))
 
 
 @dataclass(frozen=True)
@@ -119,16 +124,22 @@ class MarginalBenefit:
         return float(self.fn(b, theta))
 
 
-def cutoffs(params: MechanismParams) -> Cutoffs:
-    """Cutoffs of the closed-form schedule.
+def _cutoffs(omega_b, c, omega_T, T, b_bar):
+    """The one copy of the cutoffs, elementwise: theta_lo = max(T, omega_T /
+    omega_b); theta_hi, where the interior candidate meets the cap, is clamped
+    to theta_lo, so a cap too tight to leave an interior segment (b_bar = 0,
+    say) gives theta_hi = theta_lo.  Each max is Python's, which keeps the
+    first of two equal values (a signed zero), also on arrays."""
+    x = omega_T / omega_b
+    theta_lo = np.where(x > T, x, T)
+    x = (omega_T + c * b_bar) / omega_b
+    return theta_lo, np.where(x > theta_lo, x, theta_lo)
 
-    theta_lo = max(T, omega_T / omega_b); theta_hi is where the interior
-    candidate meets the cap, clamped to theta_lo so a cap too tight to leave
-    an interior segment (including b_bar = 0) collapses to theta_hi = theta_lo.
-    """
-    theta_lo = max(params.T, params.omega_T / params.omega_b)
-    theta_hi = max(theta_lo, (params.omega_T + params.c * params.b_bar) / params.omega_b)
-    return Cutoffs(theta_lo=theta_lo, theta_hi=theta_hi)
+
+def cutoffs(params: MechanismParams) -> Cutoffs:
+    """Cutoffs of the closed-form schedule (``_cutoffs`` of one rule)."""
+    lo, hi = _cutoffs(params.omega_b, params.c, params.omega_T, params.T, params.b_bar)
+    return Cutoffs(theta_lo=float(lo), theta_hi=float(hi))
 
 
 def _tlc(theta, omega_b, c, omega_T, T=-math.inf, b_bar=math.inf, floor=0.0):

@@ -15,11 +15,12 @@ The audit pipeline deliberately separates two roles:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, ParameterError
 from .estimation import (
+    _KNOT_GRID,
+    _REGIMES,
     OverrideReport,
     ShiftAttribution,
     TlcFit,
@@ -134,7 +135,7 @@ def _signature_checks(
 def run_audit(
     episodes,
     params: MechanismParams,
-    knot_grid: int = 201,
+    knot_grid: int = _KNOT_GRID,
     tol: float | None = None,
     episodes_after=None,
     announced=None,
@@ -162,7 +163,7 @@ def run_audit(
     return AuditReport(
         fit=fit,
         labels=labels,
-        counts={k: labels.count(k) for k in ("zero", "interior", "cap", "override")},
+        counts={k: labels.count(k) for k in _REGIMES},
         tolerance=tol,
         checks=checks,
         override=override,
@@ -173,11 +174,7 @@ def run_audit(
 
 
 def _fmt(x: float | None) -> str:
-    if x is None:
-        return "n/a"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.6g}"
+    return "n/a" if x is None else f"{x:.6g}"
 
 
 def render_audit_text(report: AuditReport) -> str:
@@ -204,7 +201,7 @@ def render_audit_text(report: AuditReport) -> str:
         f"degenerate={fit.degenerate} no_interior={fit.no_interior}",
         "",
         "regime counts:    "
-        + " ".join(f"{k}={report.counts[k]}" for k in ("zero", "interior", "cap", "override")),
+        + " ".join(f"{k}={report.counts[k]}" for k in _REGIMES),
         "",
         "signature checks:",
     ]

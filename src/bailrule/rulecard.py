@@ -4,8 +4,10 @@ A card states the two cutoffs, the interior slope, the cap, the threshold,
 and (when the cap comes from a legislature) the quota, plus provenance: the
 config's sha256 and a timestamp.  The timestamp honors SOURCE_DATE_EPOCH and
 otherwise uses the config file's mtime, so repeated runs over an unchanged
-config emit byte-identical cards.  A floored card states ``Schedule.card()``
-and a ``floor_note``.
+config emit byte-identical cards.  ``make_rule_card`` reads everything a card
+publishes from a ``floors.Schedule``: the cutoffs of ``Schedule.card()`` (the
+unfloored rule's when the floored payout has none), ``Schedule.no_bailout``,
+and a note naming the floor and saying which cutoffs the card states.
 
 The machine-readable copy is JSON with infinities encoded as the string
 "inf" (JSON proper has no infinity literal); ``card_from_json`` restores
@@ -22,10 +24,9 @@ from datetime import datetime, timezone
 
 from .errors import ConfigError
 from .floors import NO_CARD, Schedule
-from .policy import MechanismParams, cutoffs, knife_edge
+from .policy import cutoffs
 
-__all__ = ["RuleCard", "make_rule_card", "floor_note", "render_card_text", "card_to_json",
-           "card_from_json"]
+__all__ = ["RuleCard", "make_rule_card", "render_card_text", "card_to_json", "card_from_json"]
 
 
 @dataclass(frozen=True)
@@ -57,38 +58,31 @@ def _timestamp_for(config_path: str) -> str:
 
 
 def make_rule_card(
-    params: MechanismParams,
+    schedule: Schedule,
     config_sha256: str,
     config_path: str,
     tau: float | None = None,
 ) -> RuleCard:
-    cut = cutoffs(params)
+    rule, f = schedule.card(), schedule.floor
+    note = "" if f is None else f"floor {f.name}: " + (
+        "the cutoffs include it" if rule is not None
+        else f"{NO_CARD}; the cutoffs are the unfloored rule's"
+    )
+    rule = rule or schedule.params
+    cut = cutoffs(rule)
     return RuleCard(
         theta_lo=cut.theta_lo,
         theta_hi=cut.theta_hi,
-        interior_slope=params.interior_slope,
-        b_bar=params.b_bar,
-        T=params.T,
+        interior_slope=rule.interior_slope,
+        b_bar=rule.b_bar,
+        T=rule.T,
         tau=tau,
-        no_bailout=knife_edge(params),
+        no_bailout=schedule.no_bailout,
         config_sha256=config_sha256,
         config_path=config_path,
         timestamp=_timestamp_for(config_path),
+        note=note,
     )
-
-
-def floor_note(schedule: Schedule) -> str:
-    """The floor, and whether the card's cutoffs include it ("" without one)."""
-    f = schedule.floor
-    if f is None:
-        return ""
-    if schedule.card() is None:
-        return f"floor {f.name}: {NO_CARD}; the cutoffs are the unfloored rule's"
-    return f"floor {f.name}: the cutoffs include it"
-
-
-def _fmt(x: float) -> str:
-    return "inf" if math.isinf(x) else repr(x)
 
 
 def render_card_text(card: RuleCard) -> str:
@@ -96,12 +90,12 @@ def render_card_text(card: RuleCard) -> str:
         "RULE CARD",
         "=========",
         f"status:         {'NO-BAILOUT (rule is identically zero)' if card.no_bailout else 'active'}",
-        f"threshold T:    {_fmt(card.T)}",
-        f"quota tau:      {_fmt(card.tau) if card.tau is not None else 'n/a (cap stated directly)'}",
-        f"cap b_bar:      {_fmt(card.b_bar)}",
-        f"theta_lo:       {_fmt(card.theta_lo)}",
-        f"theta_hi:       {_fmt(card.theta_hi)}",
-        f"interior slope: {_fmt(card.interior_slope)}",
+        f"threshold T:    {card.T!r}",
+        f"quota tau:      {repr(card.tau) if card.tau is not None else 'n/a (cap stated directly)'}",
+        f"cap b_bar:      {card.b_bar!r}",
+        f"theta_lo:       {card.theta_lo!r}",
+        f"theta_hi:       {card.theta_hi!r}",
+        f"interior slope: {card.interior_slope!r}",
         "",
         f"config sha256:  {card.config_sha256}",
         f"config path:    {card.config_path}",
@@ -113,9 +107,7 @@ def render_card_text(card: RuleCard) -> str:
 
 
 def _encode(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
+    return repr(value) if isinstance(value, float) and math.isinf(value) else value
 
 
 def card_to_json(card: RuleCard) -> str:

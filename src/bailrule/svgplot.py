@@ -121,23 +121,20 @@ def _polyline(frame: _Frame, pts: Sequence, color: str, dash: str = "") -> str:
 
 
 def scatter_chart(
-    points: Sequence,               # (theta, b, regime-or-None)
-    fitted: Sequence | None = None,  # polyline vertices of the fitted schedule
-    published: Sequence | None = None,  # polyline vertices of the card schedule
-    title: str = "episodes vs fitted schedule",
+    points: Sequence,     # (theta, b, regime-or-None)
+    fitted: Sequence,     # polyline vertices of the fitted schedule
+    published: Sequence,  # polyline vertices of the published schedule
 ) -> str:
     xs = [p[0] for p in points] or [0.0]
     ys = [p[1] for p in points] or [0.0]
-    for extra in (fitted or []), (published or []):
+    for extra in fitted, published:
         xs += [v[0] for v in extra]
         ys += [v[1] for v in extra]
     frame = _Frame(min(min(xs), 0.0), max(xs), min(min(ys), 0.0), max(ys) * 1.05 + 1e-12)
 
-    parts = _header(title) + _axes(frame, "theta", "bailout b")
-    if published:
-        parts.append(_polyline(frame, published, "#2f855a", dash="6 3"))
-    if fitted:
-        parts.append(_polyline(frame, fitted, "#111111"))
+    parts = _header("episodes vs fitted schedule") + _axes(frame, "theta", "bailout b")
+    parts.append(_polyline(frame, published, "#2f855a", dash="6 3"))
+    parts.append(_polyline(frame, fitted, "#111111"))
     for theta, b, regime in points:
         color = REGIME_COLORS.get(regime, REGIME_COLORS[None])
         parts.append(

@@ -19,6 +19,7 @@ draws the members of a sampled legislature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -177,8 +178,10 @@ def aggregate_support(b: float, theta: float, leg: FiniteLegislature) -> float:
     call is one O(N) product and one binary search, with no sort.
     """
     b, theta = float(b), float(theta)
-    if b < 0 or theta < 0:
-        raise ParameterError("b and theta must be >= 0")
+    if not 0 <= b < math.inf:
+        raise ParameterError(f"b must be finite and >= 0, got {b}")
+    if not 0 <= theta < math.inf:
+        raise ParameterError(f"theta must be finite and >= 0, got {theta}")
     idx = int(np.searchsorted(leg._x * theta, b, side="left"))
     return float(leg._suffix[idx]) if idx < leg._x.size else 0.0
 
@@ -193,8 +196,8 @@ def empirical_cap(theta: float, leg: FiniteLegislature, tau: float) -> float:
     binary search.
     """
     theta, tau = float(theta), float(tau)
-    if theta < 0:
-        raise ParameterError(f"theta must be >= 0, got {theta}")
+    if not 0 <= theta < math.inf:
+        raise ParameterError(f"theta must be finite and >= 0, got {theta}")
     if not 0 < tau <= 1:
         raise ParameterError(f"tau must lie in (0, 1], got {tau}")
     # the reversed suffix is ascending: k is the last index with suffix >= tau

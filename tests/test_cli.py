@@ -188,6 +188,13 @@ def test_simulate_non_finite_noise_exit_1(base_cfg, tmp_path, capsys, noise):
     assert not (tmp_path / "episodes.csv").exists()
 
 
+def test_simulate_negative_seed_exit_1(base_cfg, tmp_path, capsys):
+    # numpy refused it with a traceback
+    assert run(["simulate", "--config", base_cfg, "--seed", -1, "--out-dir", tmp_path]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "episodes.csv").exists()
+
+
 def test_simulate_nan_screening_beta_exit_1(tmp_path, capsys):
     # a nan cap compared false everywhere and was dropped: unscreened payouts
     cfg = tmp_path / "sc.cfg"
@@ -378,6 +385,25 @@ def test_audit_estimation_failure_exit_2(base_cfg, tmp_path, capsys):
     code = run(["audit", "--config", base_cfg, "--data", data, "--out-dir", tmp_path])
     assert code == 2
     assert "AUDIT FAILED" in (tmp_path / "audit_report.txt").read_text()
+
+
+def test_audit_knot_grid_sets_the_resolution(base_cfg, tmp_path):
+    out = tmp_path / "out"
+    run(["simulate", "--config", base_cfg, "--seed", 3, "--noise", 0.02, "--out-dir", out])
+    span = read_episodes(out / "episodes.csv").theta.max() - 0.1  # theta range above T
+    assert run(["audit", "--config", base_cfg, "--data", out / "episodes.csv",
+                "--knot-grid", 41, "--out-dir", out]) == 0
+    card_match = next(line for line in (out / "audit_report.txt").read_text().splitlines()
+                      if line.startswith("  card-match"))
+    assert f"resolution {span / 40:.3g}" in card_match
+
+
+def test_audit_knot_grid_below_two_exit_1(base_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    run(["simulate", "--config", base_cfg, "--seed", 3, "--out-dir", out])
+    assert run(["audit", "--config", base_cfg, "--data", out / "episodes.csv",
+                "--knot-grid", 1, "--out-dir", out]) == 1
+    assert "knot_grid must be >= 2" in capsys.readouterr().err
 
 
 def test_audit_bad_csv_exit_1(base_cfg, tmp_path):

@@ -296,6 +296,40 @@ def test_knots_bitwise_invariant_under_power_of_two_payout_scaling(k, seed):
     assert (f1.s, f1.sse) == (float(np.ldexp(f0.s, k)), sse)
 
 
+@st.composite
+def dyadic_hinges(draw):
+    """A noise-free hinge on shocks that are multiples of 1/64, with a T at or
+    below its knots, both knots at observed shocks, one shock below theta1,
+    two strictly between the knots and two above theta2, so that the hinge
+    is the only exact fit."""
+    ks = sorted(draw(st.lists(st.integers(0, 512), min_size=8, max_size=60, unique=True)))
+    i1 = draw(st.integers(1, len(ks) - 6))
+    i2 = draw(st.integers(i1 + 3, len(ks) - 3))
+    T = draw(st.integers(0, ks[i1]))
+    theta = np.array(ks) / 64
+    s = draw(st.integers(1, 64)) / 16
+    b = s * (np.clip(theta, theta[i1], theta[i2]) - theta[i1])
+    delta = draw(st.integers(-min(T, ks[0]), 512)) / 64
+    return theta, b, T / 64, delta
+
+
+@given(dyadic_hinges())
+@settings(max_examples=60, deadline=None)
+def test_fit_moves_with_a_shock_shift_that_moves_t(hinge):
+    # theta + delta and T + delta are exact on these dyadic shocks, so the
+    # knots should move by delta and s and the SSE should not move at all;
+    # the tolerances allow rounding only, far inside the knot grid's step
+    theta, b, T, delta = hinge
+    f0 = fit_tlc(EpisodeTable(theta, b), t_admissible=T)
+    f1 = fit_tlc(EpisodeTable(theta + delta, b), t_admissible=T + delta)
+    knot_tol = 1e-9
+    assert knot_tol < f0.grid_resolution == f1.grid_resolution
+    assert abs(f1.theta1 - (f0.theta1 + delta)) <= knot_tol
+    assert abs(f1.theta2 - (f0.theta2 + delta)) <= knot_tol
+    assert f1.s == pytest.approx(f0.s, rel=1e-12)
+    assert abs(f1.sse - f0.sse) <= 1e-12 * float(b @ b)
+
+
 def test_huge_payouts_keep_unit_scale_knots_or_raise():
     # b^2 overflowed in the gains and the SSE: knots (0, 0.0033), sse = inf
     th = np.linspace(0.0, 2.0, 300)

@@ -10,6 +10,7 @@ from bailrule import (
     ConfigError,
     Episode,
     MechanismParams,
+    Schedule,
     UniformThreshold,
     WeightProfile,
     consent_cap_analytic,
@@ -34,7 +35,7 @@ CANON = MechanismParams(2, 4, 1, T=0.1, b_bar=0.5, theta_bar=3)
 # --- rule card -------------------------------------------------------------
 
 def test_card_fields_match_cutoffs():
-    card = make_rule_card(CANON, config_sha256="ab" * 32, config_path="x.cfg")
+    card = make_rule_card(Schedule(CANON), config_sha256="ab" * 32, config_path="x.cfg")
     assert card.theta_lo == 0.5
     assert card.theta_hi == 1.5
     assert card.interior_slope == 0.5
@@ -42,14 +43,14 @@ def test_card_fields_match_cutoffs():
 
 
 def test_card_json_round_trip_exact():
-    card = make_rule_card(CANON, config_sha256="ab" * 32, config_path="x.cfg")
+    card = make_rule_card(Schedule(CANON), config_sha256="ab" * 32, config_path="x.cfg")
     back = card_from_json(card_to_json(card))
     assert back == card
 
 
 def test_card_json_handles_infinite_cap():
     p = MechanismParams(2, 4, 1, T=0.1, b_bar=math.inf, theta_bar=3)
-    card = make_rule_card(p, config_sha256="cd" * 32, config_path="y.cfg")
+    card = make_rule_card(Schedule(p), config_sha256="cd" * 32, config_path="y.cfg")
     back = card_from_json(card_to_json(card))
     assert back.b_bar == math.inf
     assert back.theta_hi == math.inf
@@ -57,7 +58,7 @@ def test_card_json_handles_infinite_cap():
 
 def test_no_bailout_stamp():
     dead = MechanismParams(1, 1, omega_T=5, T=0, b_bar=1, theta_bar=2)
-    card = make_rule_card(dead, config_sha256="ee" * 32, config_path="z.cfg")
+    card = make_rule_card(Schedule(dead), config_sha256="ee" * 32, config_path="z.cfg")
     assert card.no_bailout
     assert "NO-BAILOUT" in render_card_text(card)
 
@@ -66,7 +67,7 @@ def test_card_timestamp_honors_source_date_epoch(monkeypatch, tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[mechanism]\n")
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "946684800")
-    card = make_rule_card(CANON, config_sha256="00" * 32, config_path=str(cfg))
+    card = make_rule_card(Schedule(CANON), config_sha256="00" * 32, config_path=str(cfg))
     assert card.timestamp == "2000-01-01T00:00:00Z"
 
 

@@ -93,6 +93,20 @@ def test_quota_tie_passes():
     assert empirical_cap(1.0, leg, tau=0.3) == pytest.approx(0.8)
 
 
+def test_non_finite_shock_or_transfer_is_refused():
+    # these returned nan, inf, 0.6 (every member voting yes) and 0.0
+    leg = FiniteLegislature([0.3, 0.3], [0.4, 0.8], 0.4)
+    nan, inf = float("nan"), float("inf")
+    for fn, args, message in [
+        (empirical_cap, (nan, leg, 0.3), "theta must be finite and >= 0, got nan"),
+        (empirical_cap, (inf, leg, 0.3), "theta must be finite and >= 0, got inf"),
+        (aggregate_support, (0.5, nan, leg), "theta must be finite and >= 0, got nan"),
+        (aggregate_support, (nan, 1.0, leg), "b must be finite and >= 0, got nan"),
+    ]:
+        with pytest.raises(ParameterError, match=message):
+            fn(*args)
+
+
 def test_legislature_validation():
     with pytest.raises(ParameterError):
         FiniteLegislature([0.3, 0.3], [0.4, 0.8], taxpayer_weight=0.2)  # sums to 0.8
