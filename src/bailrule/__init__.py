@@ -79,7 +79,6 @@ from .estimation import (
     detect_override_shift,
     fit_tlc,
     predict,
-    schedule_as_fit,
 )
 
 __version__ = "0.1.0"

@@ -6,9 +6,9 @@ episode data), ``audit`` (fit + compliance report + plot), ``sweep``
 ``--strict`` appends the KKT certificate of the split, at any number of
 municipalities).
 
-Exit codes: 0 success; 1 config/data validation error; 2 estimation or
-numerical failure (or a failed KKT certificate under ``allocate --strict``);
-3 signature-check failure under ``audit --strict``.
+Exit codes: 0 success; 1 config/data validation error or unwritable output;
+2 estimation or numerical failure (or a failed KKT certificate under
+``allocate --strict``); 3 signature-check failure under ``audit --strict``.
 
 All artifacts are deterministic: fixed seeds drive all randomness, floats
 are serialized with repr, and timestamps come from SOURCE_DATE_EPOCH or the
@@ -115,7 +115,7 @@ def cmd_simulate(args) -> int:
     if np.isfinite(beta):
         b = np.minimum(beta, b)
     if override_shift:
-        b = b + override_shift * (theta > cutoffs(schedule.card() or params).theta_hi)
+        b = b + override_shift * (theta > cutoffs(schedule.rule).theta_hi)
     if args.noise > 0:
         b = np.maximum(b + rng.normal(0.0, args.noise, size=n), 0.0)
 
@@ -270,6 +270,10 @@ def main(argv=None) -> int:
     except (EstimationError, NumericalInconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # reads raise ConfigError or DataError: this is a write
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

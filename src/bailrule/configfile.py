@@ -146,7 +146,10 @@ def parse_config(text: str, path: str = "<config>") -> ConfigFile:
     """Parse config text; raises ConfigError with file:line on bad syntax."""
     sections: list = []
     current: Section | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # a line ends at \n, \r\n or \r, as in a universal-newline read; unlike
+    # str.splitlines, form feed, U+2028 and the like do not end one
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
             continue
@@ -181,7 +184,7 @@ def load_config(path) -> ConfigFile:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from None
     return parse_config(text, path=str(path))
 

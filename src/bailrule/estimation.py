@@ -15,9 +15,10 @@ exhaustive O(K^2) scan would.
 
 Downstream: ``classify_against_schedule`` labels each episode zero /
 interior / cap / override against the published ``floors.Schedule``;
-``detect_override_shift`` refits with a cap-region dummy to surface
-systematic cap-breaking; ``attribute_shift`` decomposes knot movement between
-two fitted regimes into implied political-cost and cap changes.
+``detect_override_shift`` refits at a published rule's cutoffs (an audit
+passes the schedule's card) with a cap-region dummy to surface systematic
+cap-breaking; ``attribute_shift`` decomposes knot movement between two
+fitted regimes into implied political-cost and cap changes.
 
 Estimators take an ``EpisodeTable`` (as ``dataio.read_episodes`` returns)
 or any sequence of ``Episode``; ``_as_arrays`` alone turns them into columns.
@@ -47,7 +48,6 @@ __all__ = [
     "fit_tlc",
     "predict",
     "classify_against_schedule",
-    "schedule_as_fit",
     "detect_override_shift",
     "attribute_shift",
 ]
@@ -380,34 +380,15 @@ def classify_against_schedule(
     ).tolist()
 
 
-def schedule_as_fit(params: MechanismParams) -> TlcFit:
-    """A published rule (a ``Schedule.card()``) as a TlcFit, for the dummy refit.
-
-    Only exact when the cost branch pins the lower cutoff (the hinge spline
-    is continuous; a T-pinned schedule jumps at T).  grid_resolution is 0:
-    card knots carry no quantization slack.
-    """
-    cut = cutoffs(params)
-    return TlcFit(
-        s=params.interior_slope,
-        theta1=cut.theta_lo,
-        theta2=cut.theta_hi,
-        sse=0.0,
-        n_obs=0,
-        t_admissible=params.T,
-        grid_resolution=0.0,
-    )
-
-
 @dataclass(frozen=True)
 class OverrideReport:
-    """Cap-region dummy refit holding the fitted knots fixed.
+    """Cap-region dummy refit at a published rule's cutoffs.
 
-    ``identified`` is False when fewer than 2 episodes sit above theta2 (the
+    ``identified`` is False when fewer than 2 episodes sit above theta_hi (the
     dummy is then meaningless and no flag is raised).  ``dummy`` is the
     estimated uniform cap-region shift; ``dummy_over_rse`` scales it by the
-    refit's residual standard error; ``slope_moved`` flags an interior-slope
-    change beyond 5% relative, which a pure cap override should not cause.
+    refit's residual standard error; ``slope_moved`` flags a slope off the
+    rule's by over 5% relative, which a pure cap override should not cause.
     """
 
     identified: bool
@@ -418,27 +399,28 @@ class OverrideReport:
     slope_moved: bool | None = None
 
 
-def detect_override_shift(data: Sequence[Episode], fit: TlcFit) -> OverrideReport:
-    """Refit with an additive cap-region dummy at the fitted knots.
+def detect_override_shift(data: Sequence[Episode], rule: MechanismParams) -> OverrideReport:
+    """Refit b ~ s * x + d * 1[theta > theta_hi], x the hinge at ``cutoffs(rule)``.
 
-    Design: b ~ s * x + d * 1[theta > theta2].  A systematic override above
-    the cap loads on d and, because the knots are held fixed, should leave
-    the slope within 5% of the original fit.
+    A systematic override above the cap loads on d and, the knots being the
+    published ones, leaves s within 5% of ``rule.interior_slope``.  The hinge
+    is continuous, so it misfits a rule whose T pins theta_lo (a jump at T).
     """
     theta, b = _as_arrays(data)
-    cap_mask = theta > fit.theta2
+    cut, s = cutoffs(rule), rule.interior_slope
+    cap_mask = theta > cut.theta_hi
     n_cap = int(cap_mask.sum())
     if n_cap < 2:
         return OverrideReport(identified=False, n_cap_obs=n_cap)
-    x = _hinge(theta, fit.theta1, fit.theta2)
+    x = _hinge(theta, cut.theta_lo, cut.theta_hi)
     design = np.column_stack([x, cap_mask.astype(float)])
     coef, *_ = np.linalg.lstsq(design, b, rcond=None)
     slope_new, dummy = float(coef[0]), float(coef[1])
     resid = b - design @ coef
     dof = max(len(data) - 2, 1)
     rse = math.sqrt(float(resid @ resid) / dof)
-    if fit.s > 0:
-        moved = abs(slope_new - fit.s) > 0.05 * fit.s
+    if s > 0:
+        moved = abs(slope_new - s) > 0.05 * s
     else:
         moved = abs(slope_new) > 1e-9
     return OverrideReport(

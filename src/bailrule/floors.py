@@ -20,7 +20,7 @@ are piecewise linear, so it compares floor and line only at the interior
 region's ends and a custom floor's knots inside it.
 
 ``Schedule``, a rule plus an optional floor, is the published payout: the
-CLI's rule card, simulation, audit and plot all read it.
+CLI's rule card, simulation, audit and plot all read it and its ``rule``.
 """
 
 from __future__ import annotations
@@ -172,6 +172,11 @@ class Schedule:
         if isinstance(f, ParallelFloor):
             return replace(p, omega_T=p.omega_T - p.c * f.a) if p.c * f.a <= p.omega_T else None
         return p if self.floor_class == SC_DOMINATED else None
+
+    @property
+    def rule(self) -> MechanismParams:
+        """The published TLC rule: ``card()``, or ``params`` when that is None."""
+        return self.params if (card := self.card()) is None else card
 
     @property
     def no_bailout(self) -> bool:

@@ -15,6 +15,7 @@ The audit pipeline deliberately separates two roles:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, ParameterError
@@ -29,7 +30,6 @@ from .estimation import (
     classify_against_schedule,
     detect_override_shift,
     fit_tlc,
-    schedule_as_fit,
 )
 from .floors import NO_CARD, EquityFloor, Schedule
 from .policy import MechanismParams, cutoffs, knife_edge
@@ -64,13 +64,18 @@ class SignatureCheck:
 class AuditReport:
     fit: TlcFit
     labels: list
-    counts: dict
     tolerance: float
     checks: list
     override: OverrideReport | None  # None without a card
     schedule: Schedule
     attribution: ShiftAttribution | None = None
     fit_after: TlcFit | None = None
+
+    @property
+    def counts(self) -> dict:
+        """Episodes per label, in ``_REGIMES`` order."""
+        tally = Counter(self.labels)
+        return {k: tally[k] for k in _REGIMES}
 
     @property
     def any_check_failed(self) -> bool:
@@ -150,7 +155,7 @@ def run_audit(
     if tol is None:
         tol = max(2.0 * fit.residual_se, 1e-9)
     labels = classify_against_schedule(episodes, schedule, tol)
-    override = None if card is None else detect_override_shift(episodes, schedule_as_fit(card))
+    override = None if card is None else detect_override_shift(episodes, card)
     checks = _signature_checks(episodes, fit, card, override)
 
     attribution = None
@@ -163,7 +168,6 @@ def run_audit(
     return AuditReport(
         fit=fit,
         labels=labels,
-        counts={k: labels.count(k) for k in _REGIMES},
         tolerance=tol,
         checks=checks,
         override=override,
@@ -179,8 +183,8 @@ def _fmt(x: float | None) -> str:
 
 def render_audit_text(report: AuditReport) -> str:
     schedule = report.schedule
-    card = schedule.card() or schedule.params
-    cut = cutoffs(card)
+    rule = schedule.rule
+    cut = cutoffs(rule)
     fit = report.fit
     lines = [
         "AUDIT REPORT",
@@ -190,7 +194,7 @@ def render_audit_text(report: AuditReport) -> str:
         "",
         "published schedule:",
         f"  theta_lo={_fmt(cut.theta_lo)} theta_hi={_fmt(cut.theta_hi)} "
-        f"slope={_fmt(card.interior_slope)} cap={_fmt(card.b_bar)} T={_fmt(card.T)}"
+        f"slope={_fmt(rule.interior_slope)} cap={_fmt(rule.b_bar)} T={_fmt(rule.T)}"
         + ("  [NO-BAILOUT]" if schedule.no_bailout else "")
         + (f"  floor={schedule.floor.name}" if schedule.floor is not None else ""),
         "",
@@ -200,8 +204,7 @@ def render_audit_text(report: AuditReport) -> str:
         f"  sse={_fmt(fit.sse)} rse={_fmt(fit.residual_se)} "
         f"degenerate={fit.degenerate} no_interior={fit.no_interior}",
         "",
-        "regime counts:    "
-        + " ".join(f"{k}={report.counts[k]}" for k in _REGIMES),
+        "regime counts:    " + " ".join(f"{k}={n}" for k, n in report.counts.items()),
         "",
         "signature checks:",
     ]

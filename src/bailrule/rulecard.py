@@ -5,8 +5,8 @@ and (when the cap comes from a legislature) the quota, plus provenance: the
 config's sha256 and a timestamp.  The timestamp honors SOURCE_DATE_EPOCH and
 otherwise uses the config file's mtime, so repeated runs over an unchanged
 config emit byte-identical cards.  ``make_rule_card`` reads everything a card
-publishes from a ``floors.Schedule``: the cutoffs of ``Schedule.card()`` (the
-unfloored rule's when the floored payout has none), ``Schedule.no_bailout``,
+publishes from a ``floors.Schedule``: the cutoffs of ``Schedule.rule`` (the
+unfloored rule when the floored payout has no card), ``Schedule.no_bailout``,
 and a note naming the floor and saying which cutoffs the card states.
 
 The machine-readable copy is JSON with infinities encoded as the string
@@ -44,17 +44,21 @@ class RuleCard:
     note: str = ""
 
 
+_ISO = "%Y-%m-%dT%H:%M:%SZ"
+
+
 def _timestamp_for(config_path: str) -> str:
     """UTC ISO timestamp from SOURCE_DATE_EPOCH, else the config's mtime."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        try:
-            stamp = int(epoch)
-        except ValueError:
-            raise ConfigError(f"SOURCE_DATE_EPOCH must be an integer, got {epoch!r}") from None
-    else:
+    if epoch is None:
         stamp = int(os.path.getmtime(config_path)) if os.path.exists(config_path) else 0
-    return datetime.fromtimestamp(stamp, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        return datetime.fromtimestamp(stamp, tz=timezone.utc).strftime(_ISO)
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime(_ISO)
+    except (ValueError, OverflowError, OSError):
+        raise ConfigError(
+            f"SOURCE_DATE_EPOCH must be an integer Unix time in years 1-9999, got {epoch!r}"
+        ) from None
 
 
 def make_rule_card(
@@ -63,12 +67,11 @@ def make_rule_card(
     config_path: str,
     tau: float | None = None,
 ) -> RuleCard:
-    rule, f = schedule.card(), schedule.floor
+    rule, f = schedule.rule, schedule.floor
     note = "" if f is None else f"floor {f.name}: " + (
-        "the cutoffs include it" if rule is not None
+        "the cutoffs include it" if schedule.card() is not None
         else f"{NO_CARD}; the cutoffs are the unfloored rule's"
     )
-    rule = rule or schedule.params
     cut = cutoffs(rule)
     return RuleCard(
         theta_lo=cut.theta_lo,

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bailrule import Episode, TlcFit, cutoffs, fit_tlc, tlc_policy_linear
+from bailrule import Episode, Schedule, TlcFit, cutoffs, fit_tlc, tlc_policy_linear
 from bailrule.cli import main
-from bailrule.configfile import build_mechanism, parse_config
+from bailrule.configfile import build_floor, build_mechanism, parse_config
 from bailrule.dataio import read_episodes
+from bailrule.reporting import run_audit
 from bailrule.rulecard import card_from_json
 
 BASE = """\
@@ -460,6 +461,29 @@ def test_audit_labels_a_cardless_floor_by_its_payout(tmp_path):
     assert set(labels["cap"]) == {0.5}
 
 
+def test_floored_audit_scans_for_overrides_at_the_published_rule(tmp_path):
+    # simulate's override, the override scan and the card all use Schedule.rule
+    cfg = tmp_path / "fl.cfg"
+    cfg.write_text(BASE.replace("n = 120", "n = 1000\noverride_shift = 0.2") + PARALLEL)
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", cfg, "--seed", 5, "--out-dir", out]) == 0
+    assert run(["rulecard", "--config", cfg, "--out-dir", out]) == 0
+    parsed = parse_config(cfg.read_text())
+    schedule = Schedule(build_mechanism(parsed), build_floor(parsed))
+    cut = cutoffs(schedule.rule)
+    assert schedule.rule == schedule.card() != schedule.params
+    eps = read_episodes(out / "episodes.csv")
+    report = run_audit(eps, schedule.params, floor=schedule.floor)
+    assert report.override.n_cap_obs == int((eps.theta > cut.theta_hi).sum()) > 0
+    assert report.override.dummy == pytest.approx(0.2)
+    assert not report.override.slope_moved
+    card = card_from_json((out / "rulecard.json").read_text())
+    assert (card.theta_lo, card.theta_hi) == (cut.theta_lo, cut.theta_hi) == (0.3, 1.3)
+    crossing = parse_config(BASE + CROSSING)
+    schedule = Schedule(build_mechanism(crossing), build_floor(crossing))
+    assert schedule.card() is None and schedule.rule == schedule.params
+
+
 def test_audit_shock_outside_support_exit_1(base_cfg, tmp_path, capsys):
     data = tmp_path / "eps.csv"
     data.write_text("theta,b\n0.5,0.0\n1.0,0.25\n1.5,0.5\n2.0,0.5\n5.0,0.5\n")
@@ -621,3 +645,52 @@ def test_cli_commands_run_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == str([0] * len(argvs))
+
+
+# --- refusals print one error line, never a traceback ------------------------
+
+def _refusal(argv, cwd):
+    """stderr of a CLI run in a fresh interpreter that must exit 1."""
+    code = f"from bailrule.cli import main; raise SystemExit(main({[str(a) for a in argv]!r}))"
+    proc = _python(code, cwd)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+@pytest.mark.parametrize("command, out, blocker", [
+    ("rulecard", "taken", "taken"),                   # --out-dir names a file
+    ("rulecard", "out", "out/rulecard.txt"),          # an artifact path is a directory
+    ("simulate", "out", "out/episodes.csv"),
+])
+def test_unwritable_output_exit_1(base_cfg, tmp_path, command, out, blocker):
+    if blocker == out:
+        (tmp_path / blocker).write_text("")
+    else:
+        (tmp_path / blocker).mkdir(parents=True)
+    err = _refusal([command, "--config", base_cfg, "--out-dir", tmp_path / out], tmp_path)
+    assert err.startswith(f"error: {tmp_path / blocker}: cannot write output: "), err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_output_on_a_full_device_exit_1(base_cfg, tmp_path):
+    # a failed write or close names no file; the message still says what failed
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "rulecard.txt").symlink_to("/dev/full")
+    err = _refusal(["rulecard", "--config", base_cfg, "--out-dir", tmp_path / "out"], tmp_path)
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_config_not_utf8_exit_1(tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(BASE.replace("[simulate]", "# caf\xe9\n[simulate]").encode("latin-1"))
+    err = _refusal(["rulecard", "--config", cfg], tmp_path)
+    assert err.startswith(f"error: {cfg}: cannot read config: "), err
+
+
+def test_source_date_epoch_out_of_range_exit_1(base_cfg, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "99999999999999")
+    err = _refusal(["rulecard", "--config", base_cfg], tmp_path)
+    assert err == ("error: SOURCE_DATE_EPOCH must be an integer Unix time in "
+                   "years 1-9999, got '99999999999999'\n")
+    assert not (tmp_path / "rulecard.txt").exists()

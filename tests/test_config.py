@@ -235,6 +235,19 @@ def test_sections_of_other_kinds_are_not_checked():
     assert build_mechanism(cfg).omega_b == 2.0
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_line_feeds_and_returns_end_a_config_line(sep):
+    # str.splitlines broke here too, refusing 'b' on line 3 and hiding line 4
+    cfg = parse_config(f"[mechanism]\n# a{sep}b\nomega_b = 2\nc = x\n", path="f.cfg")
+    sec = cfg.require("mechanism")
+    assert cfg.get_float(sec, "omega_b") == 2.0
+    with pytest.raises(ConfigError, match=r"^f\.cfg:4: 'c' must be a number, got 'x'$"):
+        cfg.get_float(sec, "c")
+    cfg = parse_config("[mechanism]\r\nomega_b = 2\rc = x\n", path="f.cfg")
+    with pytest.raises(ConfigError, match=r"^f\.cfg:3: 'c' must be a number"):
+        cfg.get_float(cfg.require("mechanism"), "c")
+
+
 FRAGMENTS = st.sampled_from([
     "[mechanism]", "[legislature]", "[floor]", "[simulate]", "[notes]", "[municipality a]",
     "[", "]", "[ ]", "[mechanism", "omega_b = 1", "tau = 0.2", "n = 3", "a = 1", "b=",
@@ -249,7 +262,9 @@ CONFIG_TEXT = st.lists(
 @settings(max_examples=400, deadline=None)
 def test_config_either_cites_a_line_or_parses(text):
     # every refusal, syntax or unknown key, names a line of the text
-    lines = len(text.splitlines())
+    # physical lines as the parser counts them: only \n, \r\n and \r end one
+    pieces = re.split(r"\r\n|\r|\n", text)
+    lines = len(pieces) - (pieces[-1] == "")
     try:
         cfg = parse_config(text, path="f.cfg")
         for kind in ("mechanism", "legislature", "floor", "simulate", "notes"):

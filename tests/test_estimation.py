@@ -21,7 +21,6 @@ from bailrule import (
     detect_override_shift,
     fit_tlc,
     predict,
-    schedule_as_fit,
     tlc_policy_linear,
 )
 from bailrule.estimation import _candidate_knots
@@ -358,8 +357,8 @@ def test_predict_matches_hinge():
 
 # --- classification --------------------------------------------------------
 
-FIT_STD = TlcFit(s=1.0, theta1=0.5, theta2=1.5, sse=0.0, n_obs=21,
-                 t_admissible=0.0, grid_resolution=0.01)
+# cutoffs 0.5 and 1.5, interior slope 1
+FIT_STD = MechanismParams(1, 1, 0.5, T=0, b_bar=1, theta_bar=3)
 
 
 def test_classify_against_schedule_matches_rule():
@@ -418,16 +417,6 @@ def test_override_not_identified_without_cap_data():
     rep = detect_override_shift(data, FIT_STD)
     assert not rep.identified
     assert not rep.slope_moved
-
-
-def test_schedule_as_fit_mirrors_card():
-    p = MechanismParams(2, 4, 1, T=0.1, b_bar=0.5, theta_bar=3)
-    fit = schedule_as_fit(p)
-    cut = cutoffs(p)
-    assert fit.s == p.omega_b / p.c
-    assert fit.theta1 == cut.theta_lo
-    assert fit.theta2 == cut.theta_hi
-    assert fit.cap_level == pytest.approx(p.b_bar)
 
 
 # --- shift attribution -----------------------------------------------------

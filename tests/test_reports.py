@@ -71,6 +71,14 @@ def test_card_timestamp_honors_source_date_epoch(monkeypatch, tmp_path):
     assert card.timestamp == "2000-01-01T00:00:00Z"
 
 
+@pytest.mark.parametrize("epoch", ["99999999999999", "-99999999999999", "1" + "0" * 30])
+def test_card_timestamp_refuses_an_epoch_out_of_range(monkeypatch, epoch):
+    # fromtimestamp's ValueError or OverflowError used to escape as a traceback
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    with pytest.raises(ConfigError, match=f"^SOURCE_DATE_EPOCH .* got '{epoch}'$"):
+        make_rule_card(Schedule(CANON), config_sha256="00" * 32, config_path="x.cfg")
+
+
 # --- audits ----------------------------------------------------------------
 
 def clean_episodes(n=120):
