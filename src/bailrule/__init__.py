@@ -68,9 +68,8 @@ from .allocation import (
     cap_ordering_report,
     kkt_residuals,
 )
+from .dataio import Episode, EpisodeTable
 from .estimation import (
-    Episode,
-    EpisodeTable,
     OverrideReport,
     ShiftAttribution,
     TlcFit,

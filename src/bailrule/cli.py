@@ -96,10 +96,10 @@ def cmd_simulate(args) -> int:
     schedule = Schedule(params, build_floor(cfg))
     sim = cfg.find("simulate")
     n = cfg.get_int(sim, "n", 100) if sim else 100
-    override_shift = cfg.get_float(sim, "override_shift", 0.0) if sim else 0.0
-    beta = cfg.get_float(sim, "screening_beta", np.inf) if sim else np.inf
     if n < 1:
-        raise ConfigError(f"{cfg.path}: simulate n must be >= 1, got {n}")
+        raise ConfigError(f"{cfg.path}:{sim.line_of('n')}: simulate n must be >= 1, got {n}")
+    override_shift = cfg.get_float(sim, "override_shift", 0.0, finite=True) if sim else 0.0
+    beta = cfg.get_float(sim, "screening_beta", np.inf) if sim else np.inf
     if not beta >= 0:
         raise ConfigError(
             f"{cfg.path}:{sim.line_of('screening_beta')}: screening_beta must be >= 0, got {beta}"
@@ -137,8 +137,8 @@ def cmd_audit(args) -> int:
     ann = cfg.find("announced")
     if ann is not None:
         announced = (
-            cfg.get_float(ann, "delta_omega_T", 0.0),
-            cfg.get_float(ann, "delta_b_bar", 0.0),
+            cfg.get_float(ann, "delta_omega_T", 0.0, finite=True),
+            cfg.get_float(ann, "delta_b_bar", 0.0, finite=True),
         )
 
     out = _out_dir(args)

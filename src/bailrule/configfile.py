@@ -124,9 +124,14 @@ class ConfigFile:
             raise self._err(sec.line, f"[{sec.name}] is missing required key '{key}'")
         return raw
 
-    def get_float(self, sec: Section, key: str, default: float | None = None) -> float:
+    def get_float(self, sec: Section, key: str, default: float | None = None,
+                  *, finite: bool = False) -> float:
+        """The number at ``key``, or ``default``; ``finite`` refuses +-inf too."""
         raw = self._raw(sec, key, default is None)
-        return default if raw is None else self._number(sec, key, raw)
+        value = default if raw is None else self._number(sec, key, raw)
+        if finite and not math.isfinite(value):
+            raise self._err(sec.line_of(key), f"'{key}' must be finite, got {value}")
+        return value
 
     def get_int(self, sec: Section, key: str, default: int | None = None) -> int:
         raw = self._raw(sec, key, default is None)
@@ -329,10 +334,8 @@ def build_sweep(cfg: ConfigFile) -> SweepPlan:
         )
 
     def ramp(lo_key: str, hi_key: str) -> tuple:
-        lo, hi = cfg.get_float(sec, lo_key), cfg.get_float(sec, hi_key)
-        for key, value in ((lo_key, lo), (hi_key, hi)):
-            if not math.isfinite(value):
-                raise cfg._err(sec.line_of(key), f"'{key}' must be finite, got {value}")
+        lo = cfg.get_float(sec, lo_key, finite=True)
+        hi = cfg.get_float(sec, hi_key, finite=True)
         steps = cfg.get_int(sec, "steps")
         if steps < 2:
             raise cfg._err(sec.line_of("steps"), "steps must be >= 2")

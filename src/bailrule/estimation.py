@@ -22,8 +22,8 @@ fitted regimes into implied political-cost and cap changes.
 
 Estimators take an ``EpisodeTable`` (as ``dataio.read_episodes`` returns)
 or any sequence of ``Episode``; ``_as_arrays`` alone turns them into columns.
-Both types check one row predicate, ``_valid`` (theta and b finite and >= 0),
-when built, so no estimator sees a row that no episode file can hold.
+Both row types live in ``dataio``, which checks every row when it is built,
+so no estimator sees a row that no episode file can hold.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataio import Episode, EpisodeTable
 from .errors import EstimationError, ParameterError
 from .floors import Schedule
 from .policy import MechanismParams, cutoffs
 from .voting import bundle_check
 
 __all__ = [
-    "Episode",
-    "EpisodeTable",
     "TlcFit",
     "OverrideReport",
     "ShiftAttribution",
@@ -57,68 +56,6 @@ _REGIMES = ("zero", "interior", "cap", "override")
 
 #: Default size of the uniform knot grid ``fit_tlc`` searches.
 _KNOT_GRID = 201
-
-
-def _valid(x):
-    """The row predicate, elementwise: finite and >= 0."""
-    return np.isfinite(x) & (x >= 0.0)
-
-
-def _first_invalid(theta: np.ndarray, b: np.ndarray) -> int:
-    """Index of the first row whose theta or b fails ``_valid``, else -1."""
-    bad = ~(_valid(theta) & _valid(b))
-    return int(bad.argmax()) if bad.any() else -1
-
-
-@dataclass(frozen=True)
-class Episode:
-    """One observed bailout decision: shock proxy, realized payout, optional label."""
-
-    theta: float
-    b: float
-    regime: str | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("theta", "b"):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not _valid(value):
-                raise ParameterError(f"{name} must be finite and >= 0, got {value}")
-
-
-@dataclass(frozen=True, eq=False)
-class EpisodeTable(Sequence):
-    """Episodes as columns: float arrays ``theta`` and ``b``, and ``regime``,
-    a tuple of labels (None where blank) or None when there is no such
-    column.  Indexing (and so iteration) builds ``Episode`` rows on demand.
-    """
-
-    theta: np.ndarray
-    b: np.ndarray
-    regime: tuple | None = None
-
-    def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        regime = None if self.regime is None else tuple(self.regime)
-        if theta.ndim != 1 or theta.shape != b.shape:
-            raise ParameterError(
-                f"theta and b must be 1-D columns of one length, got {theta.shape} and {b.shape}"
-            )
-        if regime is not None and len(regime) != len(theta):
-            raise ParameterError(f"regime has {len(regime)} rows, theta has {len(theta)}")
-        i = _first_invalid(theta, b)
-        if i >= 0:
-            name, v = ("theta", theta[i]) if not _valid(theta[i]) else ("b", b[i])
-            raise ParameterError(f"episode {i}: {name} must be finite and >= 0, got {v}")
-        for name, value in (("theta", theta), ("b", b), ("regime", regime)):
-            object.__setattr__(self, name, value)
-
-    def __len__(self) -> int:
-        return len(self.theta)
-
-    def __getitem__(self, i: int) -> Episode:
-        return Episode(self.theta[i], self.b[i], None if self.regime is None else self.regime[i])
 
 
 @dataclass(frozen=True)
@@ -353,8 +290,9 @@ def classify_against_schedule(
     theta lies below, within or above the cutoffs of ``schedule.card()``; the
     payout, unlike a hinge fit, jumps at a T that pins the lower cutoff.
     Without a card, by whether the payout is 0, below b_bar or at b_bar.  A
-    tol not >= 0, or a shock above theta_bar (naming the first such episode,
-    0-based), raises ParameterError.
+    tol that is negative, nan or infinite (which would turn override
+    detection off), or a shock above theta_bar (naming the first such
+    episode, 0-based), raises ParameterError.
     """
     theta, b = _as_arrays(data)
     theta_bar = schedule.params.theta_bar
@@ -365,8 +303,8 @@ def classify_against_schedule(
             f"episode {i}: theta={float(theta[i])!r} lies outside the shock support "
             f"[0, {theta_bar!r}]"
         )
-    if not tol >= 0:
-        raise ParameterError(f"tol must be >= 0, got {tol}")
+    if not 0 <= tol < math.inf:
+        raise ParameterError(f"tol must be >= 0 and finite, got {tol}")
     card = schedule.card()
     target = schedule.payout(theta)
     if card is None:

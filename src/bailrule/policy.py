@@ -112,8 +112,8 @@ class MarginalBenefit:
     """Marginal benefit G(b, theta) with declared shape properties.
 
     ``fn`` must be non-increasing in b (weak concavity of the underlying
-    benefit), non-decreasing in theta, and finite at b = 0.  The declarations
-    are trusted by the solver.
+    benefit), non-decreasing in theta, and finite at b = 0.
+    ``tlc_policy_general`` refuses ``concave_in_b=False``, trusts the rest.
     """
 
     fn: Callable[[float, float], float]
@@ -224,7 +224,11 @@ def tlc_policy_general(theta: float, g: MarginalBenefit, params: MechanismParams
     return 0 when G(0, theta) < omega_T (or theta < T), return b_bar when
     G(b_bar, theta) > omega_T + c * b_bar, and otherwise bisect the
     stationarity condition G(b, theta) = omega_T + c * b on (0, b_bar).
+    A benefit declared ``concave_in_b=False`` raises ParameterError; solving
+    at one shock, it never reads ``increasing_in_theta``.
     """
+    if not g.concave_in_b:
+        raise ParameterError("tlc_policy_general needs a concave benefit, got concave_in_b=False")
     theta = float(theta)
     _check_theta_domain(theta, params)
     if theta < params.T or params.b_bar == 0.0:

@@ -44,17 +44,18 @@ class RuleCard:
     note: str = ""
 
 
-_ISO = "%Y-%m-%dT%H:%M:%SZ"
+def _iso(stamp: int) -> str:
+    """ISO 8601 UTC of a Unix time; isoformat pads a year below 1000, %Y does not."""
+    return datetime.fromtimestamp(stamp, tz=timezone.utc).replace(tzinfo=None).isoformat() + "Z"
 
 
 def _timestamp_for(config_path: str) -> str:
     """UTC ISO timestamp from SOURCE_DATE_EPOCH, else the config's mtime."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is None:
-        stamp = int(os.path.getmtime(config_path)) if os.path.exists(config_path) else 0
-        return datetime.fromtimestamp(stamp, tz=timezone.utc).strftime(_ISO)
+        return _iso(int(os.path.getmtime(config_path)) if os.path.exists(config_path) else 0)
     try:
-        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime(_ISO)
+        return _iso(int(epoch))
     except (ValueError, OverflowError, OSError):
         raise ConfigError(
             f"SOURCE_DATE_EPOCH must be an integer Unix time in years 1-9999, got {epoch!r}"

@@ -216,6 +216,22 @@ def test_simulate_negative_screening_beta_exit_1(tmp_path, capsys, floor):
     assert not (tmp_path / "episodes.csv").exists()
 
 
+def test_simulate_infinite_override_shift_exit_1(tmp_path, capsys):
+    # -inf * 0 made nan payouts: numpy warned and the writer named no config line
+    cfg = tmp_path / "ov.cfg"
+    cfg.write_text(BASE + "override_shift = -inf\n")
+    assert run(["simulate", "--config", cfg, "--out-dir", tmp_path]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:11: 'override_shift' must be finite, got -inf\n"
+    assert not (tmp_path / "episodes.csv").exists()
+
+
+def test_simulate_n_below_one_cites_its_line(tmp_path, capsys):
+    cfg = tmp_path / "n0.cfg"
+    cfg.write_text(BASE.replace("n = 120", "n = 0"))
+    assert run(["simulate", "--config", cfg, "--out-dir", tmp_path]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:10: simulate n must be >= 1, got 0\n"
+
+
 def test_simulate_misspelled_key_exit_1(tmp_path, capsys):
     # an unknown key was ignored, and the payouts went out unscreened
     cfg = tmp_path / "sc.cfg"
@@ -346,6 +362,19 @@ def test_audit_two_data_files_attribution(tmp_path):
     assert "announced" in text
 
 
+@pytest.mark.parametrize("key", ["delta_omega_T", "delta_b_bar"])
+def test_audit_infinite_announced_change_exit_1(tmp_path, capsys, key):
+    # an infinite claim was compared and reported "announced change match: fail"
+    cfg = tmp_path / "ann.cfg"
+    cfg.write_text(BASE + f"\n[announced]\n{key} = inf\n")
+    run(["simulate", "--config", cfg, "--seed", 2, "--out-dir", tmp_path])
+    data = tmp_path / "episodes.csv"
+    out = tmp_path / "out"
+    assert run(["audit", "--config", cfg, "--data", data, "--data", data, "--out-dir", out]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:13: '{key}' must be finite, got inf\n"
+    assert not out.exists()
+
+
 def test_audit_builds_no_episode_rows(tmp_path, monkeypatch):
     # read, fit, classify, plot and write all take the episodes as columns
     cfg = tmp_path / "rule.cfg"
@@ -416,7 +445,7 @@ def test_audit_bad_csv_exit_1(base_cfg, tmp_path):
 def test_audit_negative_tol_exit_1(base_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     run(["simulate", "--config", base_cfg, "--seed", 3, "--out-dir", out])
-    for tol in (-0.1, "nan"):  # a nan tolerance used to turn override detection off
+    for tol in (-0.1, "nan", "inf"):  # nan or inf used to turn override detection off
         code = run(["audit", "--config", base_cfg, "--data", out / "episodes.csv",
                     "--tol", tol, "--out-dir", out])
         assert code == 1

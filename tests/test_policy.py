@@ -294,6 +294,14 @@ def test_general_bad_monotonicity_detected():
         tlc_policy_general(2.0, g, p)
 
 
+def test_general_refuses_a_benefit_declared_non_concave():
+    # the flag was never read: this returned 0.0 though b = 2 has objective 1.6 > 0
+    g = MarginalBenefit(lambda b, theta: -0.2 + 2 * b, concave_in_b=False)
+    p = MechanismParams(1, 1, 0, 0, 2, 3)
+    with pytest.raises(ParameterError, match="concave_in_b=False"):
+        tlc_policy_general(1.0, g, p)
+
+
 # --- knife edge ------------------------------------------------------------
 
 def test_knife_edge_cost_dominates():

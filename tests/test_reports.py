@@ -71,6 +71,17 @@ def test_card_timestamp_honors_source_date_epoch(monkeypatch, tmp_path):
     assert card.timestamp == "2000-01-01T00:00:00Z"
 
 
+@pytest.mark.parametrize("epoch, stamp", [
+    ("-62135596800", "0001-01-01T00:00:00Z"),  # strftime's %Y wrote "1-01-01"
+    ("-59011459200", "0100-01-01T00:00:00Z"),
+    ("253402300799", "9999-12-31T23:59:59Z"),
+])
+def test_card_timestamp_pads_the_year(monkeypatch, epoch, stamp):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    card = make_rule_card(Schedule(CANON), config_sha256="00" * 32, config_path="x.cfg")
+    assert card.timestamp == stamp
+
+
 @pytest.mark.parametrize("epoch", ["99999999999999", "-99999999999999", "1" + "0" * 30])
 def test_card_timestamp_refuses_an_epoch_out_of_range(monkeypatch, epoch):
     # fromtimestamp's ValueError or OverflowError used to escape as a traceback
