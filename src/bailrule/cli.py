@@ -30,6 +30,7 @@ from .configfile import (
     build_distribution,
     build_floor,
     build_mechanism,
+    build_quota,
     build_sweep,
     build_weight_profile,
     load_config,
@@ -81,8 +82,7 @@ def cmd_rulecard(args) -> int:
     cfg = load_config(args.config)
     params = build_mechanism(cfg)
     schedule = Schedule(params, build_floor(cfg))
-    profile = build_weight_profile(cfg, params.T)
-    card = make_rule_card(schedule, cfg.sha256, cfg.path, profile.tau if profile else None)
+    card = make_rule_card(schedule, cfg.sha256, cfg.path, build_quota(cfg, params.T))
     out = _out_dir(args)
     _write(out / "rulecard.txt", render_card_text(card))
     _write(out / "rulecard.json", card_to_json(card))
@@ -136,6 +136,10 @@ def cmd_audit(args) -> int:
     announced = None
     ann = cfg.find("announced")
     if ann is not None:
+        if episodes_after is None:
+            raise ConfigError(
+                f"{cfg.path}:{ann.line}: [announced] needs two --data files (before and after)"
+            )
         announced = (
             cfg.get_float(ann, "delta_omega_T", 0.0, finite=True),
             cfg.get_float(ann, "delta_b_bar", 0.0, finite=True),
@@ -167,8 +171,8 @@ def cmd_audit(args) -> int:
         published=report.schedule.vertices(),
     )
     _write(out / "audit_plot.svg", chart)
-    if args.strict and report.any_check_failed:
-        failed = ", ".join(c.name for c in report.checks if c.status == "fail")
+    if args.strict and report.failed_checks:
+        failed = ", ".join(report.failed_checks)
         print(f"strict mode: signature check(s) failed: {failed}", file=sys.stderr)
         return 3
     return 0

@@ -39,6 +39,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "build_mechanism",
+    "build_quota",
     "build_distribution",
     "build_weight_profile",
     "build_floor",
@@ -243,6 +244,26 @@ def _derived_omega_T(cfg: ConfigFile) -> float | None:
         return political_cost(spec, cfg.get_float(sec, "salience", 0.0))
 
 
+def _cap_profile(cfg: ConfigFile, sec: Section, T: float) -> WeightProfile | None:
+    """The legislature the cap is derived from; None when ``sec`` states b_bar."""
+    if sec.get("b_bar") is not None:
+        return None
+    profile = build_weight_profile(cfg, T)
+    if profile is None:
+        raise ConfigError(
+            f"{cfg.path}:{sec.line}: b_bar missing and no [legislature] "
+            "section to derive the consent cap from"
+        )
+    return profile
+
+
+def build_quota(cfg: ConfigFile, T: float) -> float | None:
+    """The quota tau that [mechanism]'s cap is derived from, or None when the
+    cap is stated directly (a [legislature] then sets no cap)."""
+    profile = _cap_profile(cfg, cfg.require("mechanism"), T)
+    return None if profile is None else profile.tau
+
+
 def build_mechanism(cfg: ConfigFile) -> MechanismParams:
     """MechanismParams from [mechanism], deriving omega_T and b_bar from the
     legislature block when they are not stated directly."""
@@ -258,16 +279,8 @@ def build_mechanism(cfg: ConfigFile) -> MechanismParams:
             f"{cfg.path}:{sec.line}: omega_T missing and no [legislature] "
             "lambda0/lambda1 to derive it from"
         )
-    if sec.get("b_bar") is not None:
-        b_bar = cfg.get_float(sec, "b_bar")
-    else:
-        profile = build_weight_profile(cfg, T)
-        if profile is None:
-            raise ConfigError(
-                f"{cfg.path}:{sec.line}: b_bar missing and no [legislature] "
-                "section to derive the consent cap from"
-            )
-        b_bar = consent_cap_analytic(profile)
+    profile = _cap_profile(cfg, sec, T)
+    b_bar = cfg.get_float(sec, "b_bar") if profile is None else consent_cap_analytic(profile)
     resolved = {"omega_T": omega_T, "T": T, "b_bar": b_bar}
     with _located(cfg, sec):
         return MechanismParams(

@@ -56,6 +56,8 @@ _REGIMES = ("zero", "interior", "cap", "override")
 
 #: Default size of the uniform knot grid ``fit_tlc`` searches.
 _KNOT_GRID = 201
+#: Relative distance from a published slope at which an estimate has moved.
+_SLOPE_RTOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,13 @@ class TlcFit:
         return math.sqrt(self.sse / max(self.n_obs - 3, 1))
 
     @property
+    def knot_tol(self) -> float:
+        """The grid step floored at 1e-12: an audit counts knots this close as one."""
+        return max(self.grid_resolution, 1e-12)
+
+    @property
     def no_interior(self) -> bool:
-        return self.theta1 == self.theta2
+        return self.theta2 - self.theta1 <= self.knot_tol
 
 
 def _as_arrays(data: Sequence[Episode]) -> tuple[np.ndarray, np.ndarray]:
@@ -183,6 +190,11 @@ def _knot_search(ts, bs, cand, idx, q_floor, gain):
                                              [jm + 1, j2, k1, km], [jm + 1, j2, km + 1, k2]])
         blocks = blocks[:, (a1 <= a2) & (c1 <= c2) & (a1 <= c2)]
     return divmod(-best[1], K), (visited, pairs, dropped / best[0] - 1 if best[0] else -1.0)
+
+
+def _slope_moved(est: float, s: float) -> bool:
+    """Whether ``est`` is off the published slope ``s`` by over _SLOPE_RTOL * s."""
+    return abs(est - s) > _SLOPE_RTOL * s
 
 
 def _hinge(theta, t1: float, t2: float):
@@ -325,8 +337,8 @@ class OverrideReport:
     ``identified`` is False when fewer than 2 episodes sit above theta_hi (the
     dummy is then meaningless and no flag is raised).  ``dummy`` is the
     estimated uniform cap-region shift; ``dummy_over_rse`` scales it by the
-    refit's residual standard error; ``slope_moved`` flags a slope off the
-    rule's by over 5% relative, which a pure cap override should not cause.
+    refit's residual standard error; ``slope_moved`` is ``_slope_moved``,
+    slope-match's test: a pure cap override should not move the slope.
     """
 
     identified: bool
@@ -341,7 +353,7 @@ def detect_override_shift(data: Sequence[Episode], rule: MechanismParams) -> Ove
     """Refit b ~ s * x + d * 1[theta > theta_hi], x the hinge at ``cutoffs(rule)``.
 
     A systematic override above the cap loads on d and, the knots being the
-    published ones, leaves s within 5% of ``rule.interior_slope``.  The hinge
+    published ones, leaves s within ``_SLOPE_RTOL`` of ``rule.interior_slope``.  The hinge
     is continuous, so it misfits a rule whose T pins theta_lo (a jump at T).
     """
     theta, b = _as_arrays(data)
@@ -357,17 +369,13 @@ def detect_override_shift(data: Sequence[Episode], rule: MechanismParams) -> Ove
     resid = b - design @ coef
     dof = max(len(data) - 2, 1)
     rse = math.sqrt(float(resid @ resid) / dof)
-    if s > 0:
-        moved = abs(slope_new - s) > 0.05 * s
-    else:
-        moved = abs(slope_new) > 1e-9
     return OverrideReport(
         identified=True,
         n_cap_obs=n_cap,
         dummy=dummy,
         dummy_over_rse=(abs(dummy) / rse if rse > 0 else math.inf if dummy else 0.0),
         slope_refit=slope_new,
-        slope_moved=moved,
+        slope_moved=_slope_moved(slope_new, s),
     )
 
 
@@ -375,19 +383,17 @@ def detect_override_shift(data: Sequence[Episode], rule: MechanismParams) -> Ove
 class ShiftAttribution:
     """Decomposition of knot movement between two fitted regimes.
 
-    delta_theta2 = implied_domega_T_over_omega_b + implied_c_db_bar_over_omega_b
-    by construction.  When theta1 is pinned at the admissibility threshold in
-    either fit, the political-cost component is not identified from theta1;
-    it is reported as 0 with ``omega_T_identified`` False and the whole
-    theta2 movement is attributed to the cap.
+    delta_theta2 = (implied_delta_omega_T + c * implied_delta_b_bar) / omega_b
+    by construction.  When theta1 is within ``knot_tol`` of the admissibility
+    threshold in either fit, the political-cost component is not identified
+    from theta1; it is reported as 0 with ``omega_T_identified`` False and the
+    whole theta2 movement is attributed to the cap.
     """
 
     delta_theta1: float
     delta_theta2: float
     implied_delta_omega_T: float
     implied_delta_b_bar: float
-    implied_domega_T_over_omega_b: float
-    implied_c_db_bar_over_omega_b: float
     omega_T_identified: bool
     bundle_consistent: bool | None
     announced_match: bool | None
@@ -405,19 +411,16 @@ def attribute_shift(
     Lower-knot movement prices the political-cost change (omega_b per unit);
     what upper-knot movement that change does not explain is priced as a cap
     change.  ``announced`` is an optional (delta omega_T, delta b_bar) claim
-    to check the attribution against, at a tolerance set by the fits' knot
-    resolutions.
+    to check the attribution against, at a tolerance set by the sum of the
+    fits' ``knot_tol``.
     """
     omega_b, c = float(omega_b), float(c)
     if omega_b <= 0 or c <= 0:
         raise ParameterError("omega_b and c must be > 0")
     d1 = fit_after.theta1 - fit_before.theta1
     d2 = fit_after.theta2 - fit_before.theta2
-
-    def pinned(fit: TlcFit) -> bool:
-        return abs(fit.theta1 - fit.t_admissible) <= max(fit.grid_resolution, 1e-12)
-
-    identified = not (pinned(fit_before) or pinned(fit_after))
+    identified = all(abs(f.theta1 - f.t_admissible) > f.knot_tol
+                     for f in (fit_before, fit_after))
     d_omega_T = omega_b * d1 if identified else 0.0
     d_b_bar = (omega_b * d2 - d_omega_T) / c
 
@@ -426,9 +429,8 @@ def attribute_shift(
     match = None
     if announced is not None:
         ann_omega, ann_cap = float(announced[0]), float(announced[1])
-        knot_tol = fit_before.grid_resolution + fit_after.grid_resolution
-        tol_omega = omega_b * knot_tol
-        tol_cap = 2.0 * omega_b * knot_tol / c
+        tol_omega = omega_b * (fit_before.knot_tol + fit_after.knot_tol)
+        tol_cap = 2.0 * tol_omega / c
         match = abs(d_b_bar - ann_cap) <= max(tol_cap, 1e-9)
         if identified:
             match = match and abs(d_omega_T - ann_omega) <= max(tol_omega, 1e-9)
@@ -438,8 +440,6 @@ def attribute_shift(
         delta_theta2=d2,
         implied_delta_omega_T=d_omega_T,
         implied_delta_b_bar=d_b_bar,
-        implied_domega_T_over_omega_b=d_omega_T / omega_b,
-        implied_c_db_bar_over_omega_b=c * d_b_bar / omega_b,
         omega_T_identified=identified,
         bundle_consistent=bundle,
         announced_match=match,

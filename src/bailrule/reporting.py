@@ -26,6 +26,7 @@ from .estimation import (
     ShiftAttribution,
     TlcFit,
     _as_arrays,
+    _slope_moved,
     attribute_shift,
     classify_against_schedule,
     detect_override_shift,
@@ -47,8 +48,6 @@ __all__ = [
 
 PASS, FAIL, NOT_IDENTIFIED = "pass", "fail", "not-identified"
 
-#: Relative slope deviation considered consistent with the published card.
-SLOPE_MATCH_RTOL = 0.05
 #: Minimum R^2 for the piecewise-linearity check.
 LINEARITY_R2 = 0.8
 
@@ -78,8 +77,13 @@ class AuditReport:
         return {k: tally[k] for k in _REGIMES}
 
     @property
+    def failed_checks(self) -> list:
+        """Names of the checks whose status is fail, in report order."""
+        return [c.name for c in self.checks if c.status == FAIL]
+
+    @property
     def any_check_failed(self) -> bool:
-        return any(c.status == FAIL for c in self.checks)
+        return bool(self.failed_checks)
 
 
 def _signature_checks(
@@ -96,40 +100,34 @@ def _signature_checks(
         linearity = PASS if r2 >= LINEARITY_R2 else FAIL, f"R^2={r2:.4f}"
 
     # two-cutoff: both knots strictly inside the observed shock range
-    res = max(fit.grid_resolution, 1e-12)
     lo_edge, hi_edge = float(theta.min()), float(theta.max())
     if fit.degenerate:
         two_cutoff = NOT_IDENTIFIED, "degenerate fit"
-    elif fit.theta1 <= lo_edge + res or fit.theta2 >= hi_edge - res:
+    elif fit.theta1 <= lo_edge + fit.knot_tol or fit.theta2 >= hi_edge - fit.knot_tol:
         two_cutoff = (NOT_IDENTIFIED,
                       "a knot sits at the edge of the observed range; regime unobserved")
-    elif fit.theta2 - fit.theta1 <= res:
+    elif fit.no_interior:
         two_cutoff = FAIL, "no interior segment"
     else:
         two_cutoff = PASS, f"knots {fit.theta1:.6g}, {fit.theta2:.6g} interior"
 
-    slope_match = card_match = NOT_IDENTIFIED, NO_CARD
-    if card is not None:
+    if card is None:
+        slope_match = card_match = NOT_IDENTIFIED, NO_CARD
+    elif fit.degenerate:
+        slope_match = NOT_IDENTIFIED, "no slope estimate"
+        card_match = NOT_IDENTIFIED, "degenerate fit"
+    else:
         # slope-match: override-robust slope against the card's omega_b / c
-        card_slope = card.interior_slope
-        slope_est = override.slope_refit if override.identified else fit.s
-        if fit.degenerate or slope_est is None:
-            slope_match = NOT_IDENTIFIED, "no slope estimate"
-        else:
-            rel = abs(slope_est - card_slope) / card_slope
-            slope_match = (PASS if rel <= SLOPE_MATCH_RTOL else FAIL,
-                           f"estimate {slope_est:.6g} vs card {card_slope:.6g} "
-                           f"(rel dev {rel:.2%})")
-
-        # card-match: fitted knots against the published cutoffs, at grid resolution
+        s, est = card.interior_slope, override.slope_refit if override.identified else fit.s
+        slope_match = (FAIL if _slope_moved(est, s) else PASS,
+                       f"estimate {est:.6g} vs card {s:.6g} (rel dev {abs(est - s) / s:.2%})")
+        # card-match: fitted knots against the published cutoffs, within knot_tol
         cut = cutoffs(card)
-        if fit.degenerate:
-            card_match = NOT_IDENTIFIED, "degenerate fit"
-        elif cut.theta_hi > hi_edge:
+        if cut.theta_hi > hi_edge:
             card_match = NOT_IDENTIFIED, "published cap cutoff beyond observed shocks"
         else:
             d1, d2 = abs(fit.theta1 - cut.theta_lo), abs(fit.theta2 - cut.theta_hi)
-            card_match = (PASS if max(d1, d2) <= fit.grid_resolution else FAIL,
+            card_match = (PASS if max(d1, d2) <= fit.knot_tol else FAIL,
                           f"|d theta1|={d1:.3g}, |d theta2|={d2:.3g}, "
                           f"resolution {fit.grid_resolution:.3g}")
     checks = zip(("piecewise-linearity", "two-cutoff", "slope-match", "card-match"),

@@ -110,6 +110,19 @@ def test_rulecard_from_legislature(tmp_path):
     assert card.tau == 0.25
 
 
+def test_rulecard_stated_cap_states_no_quota(tmp_path):
+    # the card printed the legislature's tau = 0.25 next to the stated cap
+    # 0.5, which that tau does not give (it gives 0.1 * 2 * (1 - 0.25/0.6))
+    cfg = tmp_path / "stated.cfg"
+    cfg.write_text(BASE + "\n[legislature]\nw_beneficiary = 0.6\ntau = 0.25\n"
+                   "h_lo = 0.0\nh_hi = 2.0\n")
+    out = tmp_path / "out"
+    assert run(["rulecard", "--config", cfg, "--out-dir", out]) == 0
+    card = card_from_json((out / "rulecard.json").read_text())
+    assert card.b_bar == 0.5 and card.tau is None
+    assert "quota tau:      n/a (cap stated directly)\n" in (out / "rulecard.txt").read_text()
+
+
 PARALLEL = "\n[floor]\ntype = parallel\na = 0.1\n"
 CROSSING = "\n[floor]\ntype = custom\ntheta_knots = 0.2, 1.0\nb_values = 0.1, 0.2\n"
 
@@ -362,6 +375,20 @@ def test_audit_two_data_files_attribution(tmp_path):
     assert "announced" in text
 
 
+def test_audit_announced_with_one_data_file_exit_1(tmp_path, capsys):
+    # the claim was read and then dropped: exit 0, and the report said nothing of it
+    cfg = tmp_path / "ann.cfg"
+    cfg.write_text(BASE + "\n[announced]\ndelta_omega_T = 0.4\n")
+    run(["simulate", "--config", cfg, "--seed", 2, "--out-dir", tmp_path])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["audit", "--config", cfg, "--data", tmp_path / "episodes.csv",
+                "--out-dir", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:12: [announced] needs two --data files (before and after)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["delta_omega_T", "delta_b_bar"])
 def test_audit_infinite_announced_change_exit_1(tmp_path, capsys, key):
     # an infinite claim was compared and reported "announced change match: fail"
@@ -407,6 +434,17 @@ def test_audit_mismatched_card_strict_exit_3(base_cfg, tmp_path):
     code = run(["audit", "--config", wrong, "--data", out / "episodes.csv",
                 "--strict", "--out-dir", out])
     assert code == 3
+
+
+def test_audit_strict_names_the_failed_checks(tmp_path, capsys):
+    # the steep rule's interior segment is narrower than the knot grid
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text(BASE.replace("c = 4.0", "c = 0.01").replace("n = 120", "n = 2000"))
+    run(["simulate", "--config", cfg, "--seed", 3, "--out-dir", tmp_path])
+    capsys.readouterr()
+    assert run(["audit", "--strict", "--config", cfg, "--data", tmp_path / "episodes.csv",
+                "--out-dir", tmp_path]) == 3
+    assert capsys.readouterr().err == "strict mode: signature check(s) failed: two-cutoff\n"
 
 
 def test_audit_estimation_failure_exit_2(base_cfg, tmp_path, capsys):

@@ -444,10 +444,11 @@ def test_attribution_cap_tightening_with_pinned_theta1():
 
 
 def test_attribution_decomposition_identity():
+    omega_b, c = 2.0, 4.0
     att = attribute_shift(fit_like(0.5, 0.5, 1.5), fit_like(0.5, 0.6, 1.9),
-                          omega_b=2.0, c=4.0)
+                          omega_b=omega_b, c=c)
     assert att.delta_theta2 == pytest.approx(
-        att.implied_domega_T_over_omega_b + att.implied_c_db_bar_over_omega_b, abs=1e-9
+        att.implied_delta_omega_T / omega_b + c * att.implied_delta_b_bar / omega_b, abs=1e-9
     )
 
 

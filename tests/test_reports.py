@@ -146,6 +146,50 @@ def test_two_regime_audit_attribution_rendered():
     assert "announced" in text
 
 
+STEEP = MechanismParams(2, 0.01, 1, T=0.1, b_bar=0.5, theta_bar=3)  # cutoffs 0.5, 0.5025
+
+
+def check_of(report, name):
+    return next((c.status, c.detail) for c in report.checks if c.name == name)
+
+
+def rule_episodes(params, lo, hi, n):
+    return [Episode(float(t), tlc_policy_linear(float(t), params))
+            for t in np.linspace(lo, hi, n)]
+
+
+def test_two_cutoff_not_identified_at_an_observed_range_edge():
+    # no shock below theta_lo = 0.5: theta1 sits at or below the lowest one
+    report = run_audit(rule_episodes(CANON, 0.8, 3, 120), CANON)
+    assert report.fit.theta1 <= 0.8
+    assert check_of(report, "two-cutoff") == (
+        "not-identified", "a knot sits at the edge of the observed range; regime unobserved")
+
+
+def test_card_match_not_identified_beyond_observed_shocks():
+    # no shock reaches theta_hi = 1.5, so the cap knot is not observed
+    report = run_audit(rule_episodes(CANON, 0, 1.3, 120), CANON)
+    assert check_of(report, "card-match") == (
+        "not-identified", "published cap cutoff beyond observed shocks")
+
+
+def test_two_cutoff_fails_without_an_interior_segment():
+    # the steep rule's interior segment (0.0025 wide) is narrower than the knot grid
+    report = run_audit(rule_episodes(STEEP, 0, 3, 2000), STEEP)
+    assert 0 < report.fit.theta2 - report.fit.theta1 <= report.fit.grid_resolution
+    assert check_of(report, "two-cutoff") == ("fail", "no interior segment")
+
+
+def test_no_interior_agrees_with_two_cutoff():
+    # no_interior tested theta1 == theta2, so the report printed
+    # no_interior=False above "two-cutoff fail no interior segment"
+    report = run_audit(rule_episodes(STEEP, 0, 3, 2000), STEEP)
+    text = render_audit_text(report)
+    assert report.fit.no_interior and report.failed_checks == ["two-cutoff"]
+    assert "no_interior=True" in text
+    assert "no interior segment" in text
+
+
 # --- sweeps ----------------------------------------------------------------
 
 BASE = """\
