@@ -32,7 +32,6 @@ from .configfile import (
     build_mechanism,
     build_quota,
     build_sweep,
-    build_weight_profile,
     load_config,
 )
 from .dataio import episodes_to_csv, read_episodes, write_episodes
@@ -179,19 +178,12 @@ def cmd_audit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    params = build_mechanism(cfg)
-    profile = build_weight_profile(cfg, params.T)
-    plan = build_sweep(cfg)
-    header, rows = run_sweep(plan, params, profile)
+    plan = build_sweep(load_config(args.config))
+    header, rows = run_sweep(plan)
     out = _out_dir(args)
     _write(out / "sweep.csv", sweep_csv(header, rows))
     xs = [row[0] for row in rows]
-    series = [
-        ("theta_lo", [row[1] for row in rows]),
-        ("theta_hi", [row[2] for row in rows]),
-        ("b_bar", [row[3] for row in rows]),
-    ]
+    series = [(name, [row[i] for row in rows]) for i, name in enumerate(header[1:4], start=1)]
     _write(
         out / "sweep.svg",
         line_chart(xs, series, xlabel=plan.parameter, title=f"sweep of {plan.parameter}"),

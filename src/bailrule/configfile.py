@@ -9,7 +9,8 @@ configparser cannot do once parsing has succeeded.
 The loader functions at the bottom turn parsed sections into domain objects:
 mechanism parameters (with the cap and political cost optionally derived
 from a legislature block), shock distributions, threshold profiles, floors,
-sweep plans, and allocation problems.
+sweep plans (the rule resolved at each step) and allocation problems; config
+text becomes a rule only here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .allocation import AllocationProblem
 from .distributions import BetaShock, ShockDistribution, TruncatedExponentialShock, UniformShock
@@ -29,6 +30,7 @@ from .voting import (
     PoliticalCostSpec,
     UniformThreshold,
     WeightProfile,
+    bundle_check,
     consent_cap_analytic,
     political_cost,
 )
@@ -201,7 +203,7 @@ def _located(cfg: ConfigFile, sec: Section):
     try:
         yield
     except ParameterError as exc:
-        raise ConfigError(f"{cfg.path}:{sec.line}: invalid [{sec.name}]: {exc}") from None
+        raise ConfigError(f"{cfg.path}:{sec.line}: invalid [{sec.name}]: {exc}") from exc
 
 
 def build_weight_profile(cfg: ConfigFile, T: float) -> WeightProfile | None:
@@ -326,18 +328,28 @@ def build_floor(cfg: ConfigFile) -> EquityFloor | None:
     )
 
 
-SWEEPABLE = ("omega_T", "b_bar", "T", "tau", "w_B")
+#: Each sweep parameter and the (section, key) of the config entry it sets.
+SWEEPABLE = {"omega_T": ("mechanism", "omega_T"), "b_bar": ("mechanism", "b_bar"),
+             "T": ("mechanism", "T"), "tau": ("legislature", "tau"),
+             "w_B": ("legislature", "w_beneficiary")}
 
 
 @dataclass(frozen=True)
 class SweepPlan:
+    """``rules[i]`` is the rule the config resolves with the swept entry at ``values[i]``."""
+
     parameter: str
     values: tuple
-    coupled_b_bar: tuple | None = None  # only with parameter == omega_T
+    rules: tuple
 
 
 def build_sweep(cfg: ConfigFile) -> SweepPlan:
-    """Sweep plan from [sweep]: parameter, finite start/stop, steps, optional coupled cap."""
+    """Sweep plan from [sweep]: parameter, finite start/stop, steps, optional
+    coupled cap.  A step's rule is ``build_mechanism`` of the config with the
+    swept entry (and the coupled cap) set to the step's value, so a cap
+    derived from [legislature] moves with T, tau and w_B; tau and w_B need it.
+    Refusals (no such cap, a coupled step that raises omega_T while loosening
+    the cap, a value the rule refuses) name a [sweep] line."""
     sec = cfg.require("sweep")
     parameter = sec.get("parameter")
     if parameter not in SWEEPABLE:
@@ -345,6 +357,11 @@ def build_sweep(cfg: ConfigFile) -> SweepPlan:
             f"{cfg.path}:{sec.line_of('parameter')}: parameter must be one of "
             f"{', '.join(SWEEPABLE)}, got '{parameter}'"
         )
+    where = SWEEPABLE[parameter]
+    if where[0] == "legislature" and (cfg.require("mechanism").get("b_bar") is not None
+                                      or cfg.find("legislature") is None):
+        raise cfg._err(sec.line_of("parameter"), f"sweeping {parameter} needs a cap "
+                       "derived from [legislature] (no b_bar in [mechanism])")
 
     def ramp(lo_key: str, hi_key: str) -> tuple:
         lo = cfg.get_float(sec, lo_key, finite=True)
@@ -355,15 +372,35 @@ def build_sweep(cfg: ConfigFile) -> SweepPlan:
         return tuple(lo + (hi - lo) * i / (steps - 1) for i in range(steps))
 
     values = ramp("start", "stop")
-    coupled = None
+    sets = [{where: v} for v in values]
     if sec.get("b_bar_start") is not None or sec.get("b_bar_stop") is not None:
         if parameter != "omega_T":
-            raise ConfigError(
-                f"{cfg.path}:{sec.line}: a coupled b_bar schedule is only valid "
-                "when sweeping omega_T"
-            )
-        coupled = ramp("b_bar_start", "b_bar_stop")
-    return SweepPlan(parameter=parameter, values=values, coupled_b_bar=coupled)
+            raise cfg._err(sec.line, "a coupled b_bar schedule is only valid when "
+                           "sweeping omega_T")
+        pairs = list(zip(values, ramp("b_bar_start", "b_bar_stop")))
+        for (v0, c0), (v1, c1) in zip(pairs, pairs[1:]):
+            if not bundle_check((v0, c0), (v1, c1)):
+                raise cfg._err(sec.line, f"coupled sweep refused: step omega_T {v0:.6g} -> "
+                               f"{v1:.6g} raises the political cost while loosening the cap "
+                               f"{c0:.6g} -> {c1:.6g}; institutional shifts must move these "
+                               "together")
+        sets = [{where: v, ("mechanism", "b_bar"): cap} for v, cap in pairs]
+    rules = []
+    for v, entries in zip(values, sets):
+        step_cfg = replace(cfg, sections=[replace(s, entries=dict(s.entries))
+                                          for s in cfg.sections])
+        for (name, key), x in entries.items():
+            step_cfg.find(name).entries[key] = (repr(x), sec.line)
+        try:
+            rules.append(build_mechanism(step_cfg))
+        except ConfigError as exc:
+            if not isinstance(exc.__cause__, ParameterError):
+                raise
+            build_mechanism(cfg)  # a fault of the config's own entries is reported as such
+            raise cfg._err(
+                sec.line, f"sweep value {v} invalid for {parameter}: {exc.__cause__}"
+            ) from None
+    return SweepPlan(parameter, values, tuple(rules))
 
 
 def build_allocation_problem(cfg: ConfigFile) -> tuple[AllocationProblem, list]:

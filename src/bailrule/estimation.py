@@ -334,15 +334,18 @@ def classify_against_schedule(
 class OverrideReport:
     """Cap-region dummy refit at a published rule's cutoffs.
 
-    ``identified`` is False when fewer than 2 episodes sit above theta_hi (the
-    dummy is then meaningless and no flag is raised).  ``dummy`` is the
-    estimated uniform cap-region shift; ``dummy_over_rse`` scales it by the
-    refit's residual standard error; ``slope_moved`` is ``_slope_moved``,
-    slope-match's test: a pure cap override should not move the slope.
+    ``identified`` is False when fewer than 2 episodes sit above theta_hi, or
+    none in (theta_lo, theta_hi] (``n_interior_obs``; the hinge is then a
+    multiple of the dummy): the dummy is then meaningless and no flag is
+    raised.  ``dummy`` is the estimated uniform cap-region shift;
+    ``dummy_over_rse`` scales it by the refit's residual standard error;
+    ``slope_moved`` is ``_slope_moved``, slope-match's test: a pure cap
+    override should not move the slope.
     """
 
     identified: bool
     n_cap_obs: int
+    n_interior_obs: int
     dummy: float | None = None
     dummy_over_rse: float | None = None
     slope_refit: float | None = None
@@ -359,10 +362,10 @@ def detect_override_shift(data: Sequence[Episode], rule: MechanismParams) -> Ove
     theta, b = _as_arrays(data)
     cut, s = cutoffs(rule), rule.interior_slope
     cap_mask = theta > cut.theta_hi
-    n_cap = int(cap_mask.sum())
-    if n_cap < 2:
-        return OverrideReport(identified=False, n_cap_obs=n_cap)
     x = _hinge(theta, cut.theta_lo, cut.theta_hi)
+    n_cap, n_interior = int(cap_mask.sum()), int(np.count_nonzero(x[~cap_mask]))
+    if n_cap < 2 or n_interior == 0:
+        return OverrideReport(identified=False, n_cap_obs=n_cap, n_interior_obs=n_interior)
     design = np.column_stack([x, cap_mask.astype(float)])
     coef, *_ = np.linalg.lstsq(design, b, rcond=None)
     slope_new, dummy = float(coef[0]), float(coef[1])
@@ -372,6 +375,7 @@ def detect_override_shift(data: Sequence[Episode], rule: MechanismParams) -> Ove
     return OverrideReport(
         identified=True,
         n_cap_obs=n_cap,
+        n_interior_obs=n_interior,
         dummy=dummy,
         dummy_over_rse=(abs(dummy) / rse if rse > 0 else math.inf if dummy else 0.0),
         slope_refit=slope_new,

@@ -1,4 +1,5 @@
-"""Audit assembly and text/CSV rendering for the command-line front end.
+"""Audit assembly, sweep tables and text/CSV rendering for the command-line
+front end.  A sweep's rules come resolved from ``configfile.build_sweep``.
 
 The audit pipeline deliberately separates two roles:
 
@@ -16,9 +17,9 @@ The audit pipeline deliberately separates two roles:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 from .estimation import (
     _KNOT_GRID,
     _REGIMES,
@@ -34,7 +35,6 @@ from .estimation import (
 )
 from .floors import NO_CARD, EquityFloor, Schedule
 from .policy import MechanismParams, cutoffs, knife_edge
-from .voting import WeightProfile, bundle_check, consent_cap_analytic
 
 __all__ = [
     "SignatureCheck",
@@ -117,10 +117,14 @@ def _signature_checks(
         slope_match = NOT_IDENTIFIED, "no slope estimate"
         card_match = NOT_IDENTIFIED, "degenerate fit"
     else:
-        # slope-match: override-robust slope against the card's omega_b / c
+        # slope-match: override-robust slope against the card's omega_b / c;
+        # neither the scan nor a fit without an interior segment estimates it
         s, est = card.interior_slope, override.slope_refit if override.identified else fit.s
-        slope_match = (FAIL if _slope_moved(est, s) else PASS,
-                       f"estimate {est:.6g} vs card {s:.6g} (rel dev {abs(est - s) / s:.2%})")
+        if not override.identified and fit.no_interior:
+            slope_match = NOT_IDENTIFIED, "no interior segment"
+        else:
+            slope_match = (FAIL if _slope_moved(est, s) else PASS,
+                           f"estimate {est:.6g} vs card {s:.6g} (rel dev {abs(est - s) / s:.2%})")
         # card-match: fitted knots against the published cutoffs, within knot_tol
         cut = cutoffs(card)
         if cut.theta_hi > hi_edge:
@@ -146,7 +150,10 @@ def run_audit(
 ) -> AuditReport:
     """Full audit: fit, classify against the published schedule (``params``
     raised to ``floor``), scan for cap overrides at the card knots, run
-    signature checks, and (with a second regime) attribute the knot shift."""
+    signature checks, and (with a second regime) attribute the knot shift.
+    An ``announced`` claim without ``episodes_after`` raises ParameterError."""
+    if announced is not None and episodes_after is None:
+        raise ParameterError("an announced change needs episodes_after (before and after)")
     schedule = Schedule(params, floor)
     card = schedule.card()
     fit = fit_tlc(episodes, t_admissible=params.T, knot_grid=knot_grid)
@@ -215,8 +222,10 @@ def render_audit_text(report: AuditReport) -> str:
         scan = (f"dummy={_fmt(o.dummy)} |dummy|/rse={_fmt(o.dummy_over_rse)} "
                 f"slope_refit={_fmt(o.slope_refit)} slope_moved={o.slope_moved} "
                 f"(n_cap={o.n_cap_obs})")
-    else:
+    elif o.n_cap_obs < 2:
         scan = f"not identified ({o.n_cap_obs} episodes above the cap cutoff)"
+    else:
+        scan = "not identified (no episode between the cutoffs)"
     lines += ["", f"override scan:    {scan}"]
     a = report.attribution
     if a is not None:
@@ -239,46 +248,14 @@ def render_audit_text(report: AuditReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_sweep(plan, params: MechanismParams, profile: WeightProfile | None = None):
-    """Tabulate cutoffs/cap/knife-edge across a parameter sweep.
-
-    Returns (header, rows).  Mechanism sweeps vary params directly; tau/w_B
-    sweeps go through the consent-cap formula and need a legislature profile.
-    A coupled omega_T + cap sweep must satisfy the bundle direction at every
-    step (raising the political cost must not loosen the cap) or is refused.
-    """
-    via_cap = {"tau": "tau", "w_B": "w_beneficiary"}.get(plan.parameter)
-    if via_cap is not None and profile is None:
-        raise ConfigError(f"sweeping {plan.parameter} needs a [legislature] section")
-    caps = plan.coupled_b_bar
-    if caps is not None:
-        steps = list(zip(plan.values, caps))
-        for (v0, c0), (v1, c1) in zip(steps, steps[1:]):
-            if not bundle_check((v0, c0), (v1, c1)):
-                raise ConfigError(
-                    "coupled sweep refused: step omega_T "
-                    f"{v0:.6g} -> {v1:.6g} raises the political cost while "
-                    f"loosening the cap {c0:.6g} -> {c1:.6g}; institutional "
-                    "shifts must move these together"
-                )
+def run_sweep(plan):
+    """Tabulate a ``configfile.SweepPlan``: (header, rows), one row per value
+    with its rule's cutoffs, cap and knife-edge flag."""
     rows = []
-    for i, v in enumerate(plan.values):
-        try:
-            if via_cap is not None:
-                fields = {"b_bar": consent_cap_analytic(replace(profile, **{via_cap: v}))}
-            else:
-                fields = {plan.parameter: v}
-                if caps is not None:
-                    fields["b_bar"] = caps[i]
-            p_v = replace(params, **fields)
-        except ParameterError as exc:
-            raise ConfigError(
-                f"sweep value {v} invalid for {plan.parameter}: {exc}"
-            ) from None
-        cut = cutoffs(p_v)
-        rows.append([v, cut.theta_lo, cut.theta_hi, p_v.b_bar, int(knife_edge(p_v))])
-    header = [plan.parameter, "theta_lo", "theta_hi", "b_bar", "knife_edge"]
-    return header, rows
+    for v, rule in zip(plan.values, plan.rules):
+        cut = cutoffs(rule)
+        rows.append([v, cut.theta_lo, cut.theta_hi, rule.b_bar, int(knife_edge(rule))])
+    return [plan.parameter, "theta_lo", "theta_hi", "b_bar", "knife_edge"], rows
 
 
 def sweep_csv(header, rows) -> str:

@@ -586,6 +586,67 @@ def test_sweep_non_finite_bound_exit_1(tmp_path, capsys, bounds, key, line):
     assert f"error: {cfg}:{line}: '{key}' must be finite" in capsys.readouterr().err
 
 
+UNIFORM_H = "\n[legislature]\nw_beneficiary = 0.6\ntau = 0.3\nh_lo = 0.0\nh_hi = 2.0\n"
+
+
+def test_sweep_tau_refused_with_a_stated_cap(tmp_path, capsys):
+    # the tau = 0.3 row printed b_bar 0.1, theta_hi 0.7: a cap derived from
+    # [legislature], while the rule states b_bar = 0.5 (theta_hi 1.5)
+    cfg = tmp_path / "sw.cfg"
+    cfg.write_text(BASE + UNIFORM_H + "\n[sweep]\nparameter = tau\nstart = 0.3\nstop = 0.5\n"
+                   "steps = 3\n")
+    assert run(["sweep", "--config", cfg, "--out-dir", tmp_path]) == 1
+    assert f"error: {cfg}:19: sweeping tau needs a cap derived from [legislature]" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_T_moves_a_derived_cap_as_rulecard_does(tmp_path):
+    # every row kept the cap derived at the config's T: b_bar 0.1, theta_hi 0.7
+    derived = BASE.replace("b_bar = 0.5\n", "") + UNIFORM_H
+    cfg = tmp_path / "sw.cfg"
+    cfg.write_text(derived + "\n[sweep]\nparameter = T\nstart = 0.1\nstop = 0.5\nsteps = 3\n")
+    assert run(["sweep", "--config", cfg, "--out-dir", tmp_path]) == 0
+    rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().split()[1:]]
+    assert len(rows) == 3
+    for T, lo, hi, cap, _ in rows:
+        at_T = tmp_path / f"T{T}.cfg"
+        at_T.write_text(derived.replace("T = 0.1", f"T = {T}"))
+        assert run(["rulecard", "--config", at_T, "--out-dir", tmp_path / T]) == 0
+        card = card_from_json((tmp_path / T / "rulecard.json").read_text())
+        assert (float(lo), float(hi), float(cap)) == (card.theta_lo, card.theta_hi, card.b_bar)
+    assert rows[-1][2:4] == ["1.5", "0.5"]
+
+
+def test_sweep_ignores_a_legislature_the_rule_does_not_use(tmp_path):
+    # the cap is stated, so [legislature] sets nothing; its invalid tau
+    # stopped an omega_T sweep with exit 1 while rulecard and simulate ran
+    cfg = tmp_path / "sw.cfg"
+    cfg.write_text(BASE + UNIFORM_H.replace("tau = 0.3", "tau = 2")
+                   + "\n[sweep]\nparameter = omega_T\nstart = 0.5\nstop = 2.0\nsteps = 4\n")
+    assert run(["rulecard", "--config", cfg, "--out-dir", tmp_path]) == 0
+    assert run(["sweep", "--config", cfg, "--out-dir", tmp_path]) == 0
+    assert (tmp_path / "sweep.csv").read_text().split()[1] == "0.5,0.25,1.25,0.5,0"
+
+
+@pytest.mark.parametrize("sweep, line, message", [
+    ("parameter = tau\nstart = 0.1\nstop = 0.9\nsteps = 3\n", 13,
+     "sweeping tau needs a cap derived from [legislature] (no b_bar in [mechanism])"),
+    ("parameter = omega_T\nstart = 0.5\nstop = 1.0\nsteps = 3\nb_bar_start = 0.2\n"
+     "b_bar_stop = 0.6\n", 12,
+     "coupled sweep refused: step omega_T 0.5 -> 0.75 raises the political cost while "
+     "loosening the cap 0.2 -> 0.4; institutional shifts must move these together"),
+    ("parameter = omega_T\nstart = -1\nstop = 1.0\nsteps = 3\n", 12,
+     "sweep value -1.0 invalid for omega_T: omega_T must be finite and >= 0, got -1.0"),
+], ids=["tau-without-legislature", "coupled-bundle", "invalid-value"])
+def test_sweep_refusals_name_file_and_line(tmp_path, capsys, sweep, line, message):
+    # these three refusals named no file:line, unlike every other config error
+    cfg = tmp_path / "sw.cfg"
+    cfg.write_text(BASE + "\n[sweep]\n" + sweep)
+    assert run(["sweep", "--config", cfg, "--out-dir", tmp_path]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
+
+
 # --- allocate --------------------------------------------------------------
 
 def test_allocate_worked_instance(tmp_path):

@@ -10,6 +10,7 @@ from bailrule import (
     ConfigError,
     Episode,
     MechanismParams,
+    ParameterError,
     Schedule,
     UniformThreshold,
     WeightProfile,
@@ -18,7 +19,7 @@ from bailrule import (
     knife_edge,
     tlc_policy_linear,
 )
-from bailrule.configfile import build_sweep, parse_config
+from bailrule.configfile import build_mechanism, build_sweep, parse_config
 from bailrule.reporting import (
     render_allocation_text,
     render_audit_text,
@@ -190,6 +191,28 @@ def test_no_interior_agrees_with_two_cutoff():
     assert "no interior segment" in text
 
 
+def test_override_scan_not_identified_without_an_interior_episode():
+    # with no shock in (theta_lo, theta_hi] the hinge is (theta_hi - theta_lo)
+    # times the cap dummy on every row, and lstsq split the two at will:
+    # dummy=0.5, |dummy|/rse=9.8e15, slope_refit=0.00125, slope-match fail
+    report = run_audit(rule_episodes(STEEP, 0, 3, 400), STEEP)
+    o = report.override
+    assert not o.identified and o.n_cap_obs > 2 and o.n_interior_obs == 0
+    assert o.dummy is None and o.slope_refit is None
+    assert report.fit.no_interior
+    assert report.failed_checks == ["two-cutoff"]
+    slope_match = next(c for c in report.checks if c.name == "slope-match")
+    assert (slope_match.status, slope_match.detail) == ("not-identified", "no interior segment")
+    text = render_audit_text(report)
+    assert "override scan:    not identified (no episode between the cutoffs)\n" in text
+
+
+def test_announced_claim_without_a_second_regime_is_refused():
+    # the claim was dropped: attribution None, and nothing said
+    with pytest.raises(ParameterError, match="episodes_after"):
+        run_audit(rule_episodes(CANON, 0, 3, 50), CANON, announced=(0.4, 0.0))
+
+
 # --- sweeps ----------------------------------------------------------------
 
 BASE = """\
@@ -203,13 +226,23 @@ theta_bar = 3.0
 """
 
 
+#: BASE with the cap derived from a legislature, as tau and w_B sweeps need
+LEG = BASE.replace("b_bar = 0.5\n", "") + """
+[legislature]
+w_beneficiary = 0.5
+tau = 0.25
+h_lo = 0.0
+h_hi = 2.0
+"""
+
+
 def column(rows, i):
     return [r[i] for r in rows]
 
 
 def test_sweep_omega_T_slope():
     plan = build_sweep(parse_config(BASE + "\n[sweep]\nparameter = omega_T\nstart = 0.5\nstop = 2.0\nsteps = 7\n"))
-    header, rows = run_sweep(plan, CANON)
+    header, rows = run_sweep(plan)
     hi = column(rows, header.index("theta_hi"))
     xs = column(rows, 0)
     slopes = np.diff(hi) / np.diff(xs)
@@ -218,16 +251,15 @@ def test_sweep_omega_T_slope():
 
 def test_sweep_cap_slope():
     plan = build_sweep(parse_config(BASE + "\n[sweep]\nparameter = b_bar\nstart = 0.1\nstop = 1.0\nsteps = 10\n"))
-    header, rows = run_sweep(plan, CANON)
+    header, rows = run_sweep(plan)
     hi = column(rows, header.index("theta_hi"))
     slopes = np.diff(hi) / np.diff(column(rows, 0))
     assert slopes == pytest.approx([CANON.c / CANON.omega_b] * (len(rows) - 1))
 
 
 def test_sweep_tau_hits_zero_at_bloc_weight():
-    profile = WeightProfile(0.5, 0.25, UniformThreshold(0, 2), T=1.0)
-    plan = build_sweep(parse_config(BASE + "\n[sweep]\nparameter = tau\nstart = 0.1\nstop = 0.9\nsteps = 17\n"))
-    header, rows = run_sweep(plan, CANON, profile)
+    plan = build_sweep(parse_config(LEG + "\n[sweep]\nparameter = tau\nstart = 0.1\nstop = 0.9\nsteps = 17\n"))
+    header, rows = run_sweep(plan)
     xs = np.array(column(rows, 0))
     caps = np.array(column(rows, header.index("b_bar")))
 
@@ -240,19 +272,17 @@ def test_sweep_tau_hits_zero_at_bloc_weight():
 
 
 def test_sweep_tau_without_profile_is_error():
-    plan = build_sweep(parse_config(BASE + "\n[sweep]\nparameter = tau\nstart = 0.1\nstop = 0.9\nsteps = 3\n"))
     with pytest.raises(ConfigError, match="legislature"):
-        run_sweep(plan, CANON, None)
+        build_sweep(parse_config(BASE + "\n[sweep]\nparameter = tau\nstart = 0.1\nstop = 0.9\nsteps = 3\n"))
 
 
 def test_coupled_sweep_refused_on_bundle_violation():
     # omega_T rising while the cap also rises breaks the institutional bundle
-    plan = build_sweep(parse_config(
-        BASE + "\n[sweep]\nparameter = omega_T\nstart = 0.5\nstop = 1.0\nsteps = 3\n"
-        "b_bar_start = 0.2\nb_bar_stop = 0.6\n"
-    ))
     with pytest.raises(ConfigError, match="together"):
-        run_sweep(plan, CANON)
+        build_sweep(parse_config(
+            BASE + "\n[sweep]\nparameter = omega_T\nstart = 0.5\nstop = 1.0\nsteps = 3\n"
+            "b_bar_start = 0.2\nb_bar_stop = 0.6\n"
+        ))
 
 
 def test_coupled_sweep_moves_the_cap_along_its_schedule():
@@ -260,17 +290,17 @@ def test_coupled_sweep_moves_the_cap_along_its_schedule():
         BASE + "\n[sweep]\nparameter = omega_T\nstart = 0.5\nstop = 1.5\nsteps = 5\n"
         "b_bar_start = 0.6\nb_bar_stop = 0.2\n"
     ))
-    header, rows = run_sweep(plan, CANON)
-    assert column(rows, header.index("b_bar")) == list(plan.coupled_b_bar)
+    header, rows = run_sweep(plan)
+    assert column(rows, header.index("b_bar")) == [0.6 + (0.2 - 0.6) * i / 4 for i in range(5)]
     for omega_T, lo, hi, cap, _ in rows:
         cut = cutoffs(replace(CANON, omega_T=omega_T, b_bar=cap))
         assert (lo, hi) == (cut.theta_lo, cut.theta_hi)
 
 
 def test_sweep_w_B_goes_through_the_consent_cap():
-    profile = WeightProfile(0.5, 0.25, UniformThreshold(0, 2), T=1.0)
-    plan = build_sweep(parse_config(BASE + "\n[sweep]\nparameter = w_B\nstart = 0.2\nstop = 1.0\nsteps = 9\n"))
-    header, rows = run_sweep(plan, CANON, profile)
+    profile = WeightProfile(0.5, 0.25, UniformThreshold(0, 2), T=CANON.T)  # LEG's legislature
+    plan = build_sweep(parse_config(LEG + "\n[sweep]\nparameter = w_B\nstart = 0.2\nstop = 1.0\nsteps = 9\n"))
+    header, rows = run_sweep(plan)
     assert header[0] == "w_B"
     for w_B, lo, hi, cap, knife in rows:
         assert cap == consent_cap_analytic(replace(profile, w_beneficiary=w_B))
@@ -289,12 +319,68 @@ def test_sweep_w_B_goes_through_the_consent_cap():
      ("omega_T", "-1", r"^sweep value -1\.0 invalid for omega_T: omega_T must be finite")],
 )
 def test_invalid_sweep_value_is_a_config_error(parameter, start, message):
-    profile = WeightProfile(0.5, 0.25, UniformThreshold(0, 2), T=1.0)
-    plan = build_sweep(parse_config(
-        BASE + f"\n[sweep]\nparameter = {parameter}\nstart = {start}\nstop = 0.9\nsteps = 3\n"
-    ))
-    with pytest.raises(ConfigError, match=message):
-        run_sweep(plan, CANON, profile)
+    # the refusal names the [sweep] line, then says what it always said
+    with pytest.raises(ConfigError, match=r"^<config>:\d+: " + message.removeprefix("^")):
+        build_sweep(parse_config(
+            LEG + f"\n[sweep]\nparameter = {parameter}\nstart = {start}\nstop = 0.9\nsteps = 3\n"
+        ))
+
+
+MECHANISM = {"omega_b": "2.0", "c": "4.0", "omega_T": "1.0", "T": "0.1", "theta_bar": "3.0"}
+UNIFORM_H = {"w_beneficiary": "0.6", "tau": "0.3", "h_lo": "0.0", "h_hi": "2.0"}
+DISCRETE_H = {"w_beneficiary": "0.6", "tau": "0.3", "h_family": "discrete",
+              "h_atoms": "0.5, 1.0, 3.0", "h_masses": "0.2, 0.5, 0.3"}
+SWEEP_CONFIGS = {
+    "stated cap": {"mechanism": {**MECHANISM, "b_bar": "0.5"}},
+    "stated cap + legislature": {"mechanism": {**MECHANISM, "b_bar": "0.5"},
+                                 "legislature": UNIFORM_H},
+    "derived cap, uniform H": {"mechanism": MECHANISM, "legislature": UNIFORM_H},
+    "derived cap, discrete H": {"mechanism": MECHANISM, "legislature": DISCRETE_H},
+}
+SWEEPS = {
+    "omega_T": {"parameter": "omega_T", "start": "0.5", "stop": "2.0", "steps": "4"},
+    "b_bar": {"parameter": "b_bar", "start": "0.1", "stop": "1.0", "steps": "4"},
+    "T": {"parameter": "T", "start": "0.1", "stop": "0.5", "steps": "5"},
+    "tau": {"parameter": "tau", "start": "0.3", "stop": "0.5", "steps": "3"},
+    "w_B": {"parameter": "w_B", "start": "0.4", "stop": "0.8", "steps": "3"},
+    "coupled": {"parameter": "omega_T", "start": "0.5", "stop": "1.5", "steps": "3",
+                "b_bar_start": "0.6", "b_bar_stop": "0.2"},
+}
+#: the config key each sweep parameter sets
+SWEPT_KEY = {"omega_T": ("mechanism", "omega_T"), "b_bar": ("mechanism", "b_bar"),
+             "T": ("mechanism", "T"), "tau": ("legislature", "tau"),
+             "w_B": ("legislature", "w_beneficiary")}
+
+
+def config_text(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items()) + "\n"
+                   for name, entries in sections.items())
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+@pytest.mark.parametrize("config", SWEEP_CONFIGS)
+def test_sweep_row_is_the_rule_the_config_resolves(config, sweep):
+    # the sweep derived its own rules: a T sweep kept the cap derived at the
+    # config's T, and a tau sweep derived a cap the stated-cap rule lacks
+    sections = {**SWEEP_CONFIGS[config], "sweep": SWEEPS[sweep]}
+    text = config_text(sections)
+    parameter = SWEEPS[sweep]["parameter"]
+    if parameter in ("tau", "w_B") and "b_bar" in sections["mechanism"]:
+        line = text.split("\n").index(f"parameter = {parameter}") + 1
+        with pytest.raises(ConfigError, match=rf"^<config>:{line}: sweeping {parameter} needs"):
+            build_sweep(parse_config(text))
+        return
+    header, rows = run_sweep(build_sweep(parse_config(text)))
+    assert len(rows) == int(SWEEPS[sweep]["steps"])
+    for v, lo, hi, cap, knife in rows:
+        name, key = SWEPT_KEY[parameter]
+        at_v = {**sections, name: {**sections[name], key: repr(v)}}
+        if sweep == "coupled":
+            at_v["mechanism"] = {**at_v["mechanism"], "b_bar": repr(cap)}
+        rule = build_mechanism(parse_config(config_text(at_v)))
+        cut = cutoffs(rule)
+        assert (lo, hi, cap, knife) == (cut.theta_lo, cut.theta_hi, rule.b_bar,
+                                        int(knife_edge(rule)))
 
 
 def test_sweep_csv_matches_csv_module_bytes():
@@ -302,12 +388,10 @@ def test_sweep_csv_matches_csv_module_bytes():
     import csv
     import io
 
-    profile = WeightProfile(0.5, 0.25, UniformThreshold(0, 2), T=1.0)
     for section in ("parameter = omega_T\nstart = 0\nstop = 6\nsteps = 7\n",
                     "parameter = tau\nstart = 0.1\nstop = 0.9\nsteps = 9\n",
                     "parameter = T\nstart = 0\nstop = 3\nsteps = 4\n"):
-        header, rows = run_sweep(build_sweep(parse_config(BASE + "\n[sweep]\n" + section)),
-                                 CANON, profile)
+        header, rows = run_sweep(build_sweep(parse_config(LEG + "\n[sweep]\n" + section)))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -318,7 +402,7 @@ def test_sweep_csv_matches_csv_module_bytes():
 
 def test_sweep_csv_shape():
     plan = build_sweep(parse_config(BASE + "\n[sweep]\nparameter = omega_T\nstart = 0\nstop = 6\nsteps = 4\n"))
-    header, rows = run_sweep(plan, CANON)
+    header, rows = run_sweep(plan)
     text = sweep_csv(header, rows)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(header)
