@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .policy import MechanismParams, _cutoffs, _tlc, tlc_policy_linear
+from .policy import MechanismParams, _check_theta_domain, _cutoffs, _tlc, tlc_policy_linear
 
 __all__ = [
     "AllocationProblem",
@@ -51,10 +51,7 @@ class AllocationProblem:
         for p, t in munis:
             if not isinstance(p, MechanismParams):
                 raise ParameterError("each municipality needs MechanismParams")
-            if not 0 <= t <= p.theta_bar:
-                raise ParameterError(
-                    f"realized shock {t} outside [0, {p.theta_bar}]"
-                )
+            _check_theta_domain(t, p)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Subcommands: ``rulecard`` (publish the schedule), ``simulate`` (synthetic
 episode data), ``audit`` (fit + compliance report + plot), ``sweep``
 (cutoff/cap trajectories over a parameter), ``allocate`` (treasury split;
 ``--strict`` appends the KKT certificate of the split, at any number of
-municipalities).
+municipalities).  Inputs come from ``configfile``, the one reader of config
+text; a command here reads data, computes and writes.
 
 Exit codes: 0 success; 1 config/data validation error or unwritable output;
 2 estimation or numerical failure (or a failed KKT certificate under
@@ -27,10 +28,11 @@ import numpy as np
 from .allocation import allocate, cap_ordering_report, kkt_residuals
 from .configfile import (
     build_allocation_problem,
+    build_announced,
     build_distribution,
-    build_floor,
-    build_mechanism,
     build_quota,
+    build_schedule,
+    build_simulation,
     build_sweep,
     load_config,
 )
@@ -43,7 +45,6 @@ from .errors import (
     ParameterError,
 )
 from .estimation import _KNOT_GRID, predict
-from .floors import Schedule
 from .policy import cutoffs
 from .reporting import (
     render_allocation_text,
@@ -79,9 +80,8 @@ def _fit_points(fit, theta_min, theta_max):
 
 def cmd_rulecard(args) -> int:
     cfg = load_config(args.config)
-    params = build_mechanism(cfg)
-    schedule = Schedule(params, build_floor(cfg))
-    card = make_rule_card(schedule, cfg.sha256, cfg.path, build_quota(cfg, params.T))
+    schedule = build_schedule(cfg)
+    card = make_rule_card(schedule, cfg.sha256, cfg.path, build_quota(cfg, schedule.params.T))
     out = _out_dir(args)
     _write(out / "rulecard.txt", render_card_text(card))
     _write(out / "rulecard.json", card_to_json(card))
@@ -90,19 +90,9 @@ def cmd_rulecard(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    params = build_mechanism(cfg)
-    dist = build_distribution(cfg, params)
-    schedule = Schedule(params, build_floor(cfg))
-    sim = cfg.find("simulate")
-    n = cfg.get_int(sim, "n", 100) if sim else 100
-    if n < 1:
-        raise ConfigError(f"{cfg.path}:{sim.line_of('n')}: simulate n must be >= 1, got {n}")
-    override_shift = cfg.get_float(sim, "override_shift", 0.0, finite=True) if sim else 0.0
-    beta = cfg.get_float(sim, "screening_beta", np.inf) if sim else np.inf
-    if not beta >= 0:
-        raise ConfigError(
-            f"{cfg.path}:{sim.line_of('screening_beta')}: screening_beta must be >= 0, got {beta}"
-        )
+    schedule = build_schedule(cfg)
+    dist = build_distribution(cfg, schedule.params)
+    n, override_shift, beta = build_simulation(cfg)
     if not 0 <= args.noise < np.inf:
         raise ParameterError(f"noise must be finite and >= 0, got {args.noise}")
     if args.seed < 0:
@@ -126,34 +116,24 @@ def cmd_simulate(args) -> int:
 
 def cmd_audit(args) -> int:
     cfg = load_config(args.config)
-    params = build_mechanism(cfg)
+    schedule = build_schedule(cfg)
     paths = args.data
     if not 1 <= len(paths) <= 2:
         raise ConfigError("audit takes one --data file, or two for a regime comparison")
+    announced = build_announced(cfg, len(paths))
     episodes = read_episodes(paths[0])
     episodes_after = read_episodes(paths[1]) if len(paths) == 2 else None
-    announced = None
-    ann = cfg.find("announced")
-    if ann is not None:
-        if episodes_after is None:
-            raise ConfigError(
-                f"{cfg.path}:{ann.line}: [announced] needs two --data files (before and after)"
-            )
-        announced = (
-            cfg.get_float(ann, "delta_omega_T", 0.0, finite=True),
-            cfg.get_float(ann, "delta_b_bar", 0.0, finite=True),
-        )
 
     out = _out_dir(args)
     try:
         report = run_audit(
             episodes,
-            params,
+            schedule.params,
             knot_grid=args.knot_grid,
             tol=args.tol,
             episodes_after=episodes_after,
             announced=announced,
-            floor=build_floor(cfg),
+            floor=schedule.floor,
         )
     except EstimationError as exc:
         _write(out / "audit_report.txt", f"AUDIT FAILED\n============\n{exc}\n")

@@ -6,11 +6,12 @@ space (``[municipality north]``).  The parser keeps the line number of every
 entry so validation errors can point at the offending line, which stdlib
 configparser cannot do once parsing has succeeded.
 
-The loader functions at the bottom turn parsed sections into domain objects:
-mechanism parameters (with the cap and political cost optionally derived
-from a legislature block), shock distributions, threshold profiles, floors,
-sweep plans (the rule resolved at each step) and allocation problems; config
-text becomes a rule only here.
+The loader functions at the bottom turn parsed sections into every command's
+inputs: mechanism parameters (cap and political cost optionally derived from
+a legislature block), the published schedule, shock distributions, threshold
+profiles, floors, [simulate] and [announced] settings, sweep plans and
+allocation problems.  Config text is read, and its faults put on a line (the
+refused key's, else the section's), only here.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field, replace
 from .allocation import AllocationProblem
 from .distributions import BetaShock, ShockDistribution, TruncatedExponentialShock, UniformShock
 from .errors import ConfigError, ParameterError
-from .floors import CustomFloor, EquityFloor, ParallelFloor
-from .policy import _PARAM_NAMES, MechanismParams
+from .floors import CustomFloor, EquityFloor, ParallelFloor, Schedule
+from .policy import _PARAM_NAMES, MechanismParams, _check_theta_domain
 from .voting import (
     DiscreteThreshold,
     PoliticalCostSpec,
@@ -45,6 +46,9 @@ __all__ = [
     "build_distribution",
     "build_weight_profile",
     "build_floor",
+    "build_schedule",
+    "build_simulation",
+    "build_announced",
     "build_sweep",
     "build_allocation_problem",
 ]
@@ -103,11 +107,12 @@ class ConfigFile:
     def require(self, name: str) -> Section:
         sec = self.find(name)
         if sec is None:
-            raise ConfigError(f"{self.path}: missing required [{name}] section")
+            raise self._err(None, f"missing required [{name}] section")
         return sec
 
-    def _err(self, line: int, msg: str) -> ConfigError:
-        return ConfigError(f"{self.path}:{line}: {msg}")
+    def _err(self, line: int | None, msg: str) -> ConfigError:
+        """``msg`` at ``path:line``, or at ``path`` when no line is to blame."""
+        return ConfigError(f"{self.path}{'' if line is None else f':{line}'}: {msg}")
 
     def _number(self, sec: Section, key: str, text: str) -> float:
         """``text`` as a float; float() takes every spelling of inf, and nan
@@ -199,11 +204,14 @@ def load_config(path) -> ConfigFile:
 
 @contextmanager
 def _located(cfg: ConfigFile, sec: Section):
-    """Re-raise a ParameterError from the block as a ConfigError at ``sec``."""
+    """Re-raise a ParameterError from the block as a ConfigError in ``sec``:
+    at a key's line when the error's text begins ``<key> must `` for a key
+    of the section, else at the section header."""
     try:
         yield
     except ParameterError as exc:
-        raise ConfigError(f"{cfg.path}:{sec.line}: invalid [{sec.name}]: {exc}") from exc
+        line = sec.line_of(str(exc).partition(" must ")[0])
+        raise cfg._err(line, f"invalid [{sec.name}]: {exc}") from exc
 
 
 def build_weight_profile(cfg: ConfigFile, T: float) -> WeightProfile | None:
@@ -222,10 +230,8 @@ def build_weight_profile(cfg: ConfigFile, T: float) -> WeightProfile | None:
                 cfg.get_floats(sec, "h_atoms"), cfg.get_floats(sec, "h_masses")
             )
         else:
-            raise ConfigError(
-                f"{cfg.path}:{sec.line_of('h_family')}: unknown h_family '{family}' "
-                "(expected uniform or discrete)"
-            )
+            raise cfg._err(sec.line_of("h_family"), f"unknown h_family '{family}' "
+                           "(expected uniform or discrete)")
         return WeightProfile(
             w_beneficiary=cfg.get_float(sec, "w_beneficiary"),
             tau=cfg.get_float(sec, "tau"),
@@ -240,10 +246,13 @@ def _derived_omega_T(cfg: ConfigFile) -> float | None:
         return None
     with _located(cfg, sec):
         spec = PoliticalCostSpec(
-            lambda0=cfg.get_float(sec, "lambda0"),
-            lambda1=cfg.get_float(sec, "lambda1", 0.0),
+            lambda0=cfg.get_float(sec, "lambda0", finite=True),
+            lambda1=cfg.get_float(sec, "lambda1", 0.0, finite=True),
         )
-        return political_cost(spec, cfg.get_float(sec, "salience", 0.0))
+    omega_T = political_cost(spec, cfg.get_float(sec, "salience", 0.0, finite=True))
+    if omega_T < 0:
+        raise cfg._err(sec.line_of("salience"), f"salience gives omega_T = {omega_T} < 0")
+    return omega_T
 
 
 def _cap_profile(cfg: ConfigFile, sec: Section, T: float) -> WeightProfile | None:
@@ -252,10 +261,8 @@ def _cap_profile(cfg: ConfigFile, sec: Section, T: float) -> WeightProfile | Non
         return None
     profile = build_weight_profile(cfg, T)
     if profile is None:
-        raise ConfigError(
-            f"{cfg.path}:{sec.line}: b_bar missing and no [legislature] "
-            "section to derive the consent cap from"
-        )
+        raise cfg._err(sec.line, "b_bar missing and no [legislature] "
+                       "section to derive the consent cap from")
     return profile
 
 
@@ -277,10 +284,8 @@ def build_mechanism(cfg: ConfigFile) -> MechanismParams:
         else _derived_omega_T(cfg)
     )
     if omega_T is None:
-        raise ConfigError(
-            f"{cfg.path}:{sec.line}: omega_T missing and no [legislature] "
-            "lambda0/lambda1 to derive it from"
-        )
+        raise cfg._err(sec.line, "omega_T missing and no [legislature] "
+                       "lambda0/lambda1 to derive it from")
     profile = _cap_profile(cfg, sec, T)
     b_bar = cfg.get_float(sec, "b_bar") if profile is None else consent_cap_analytic(profile)
     resolved = {"omega_T": omega_T, "T": T, "b_bar": b_bar}
@@ -303,10 +308,8 @@ def build_distribution(cfg: ConfigFile, params: MechanismParams) -> ShockDistrib
             return BetaShock(
                 cfg.get_float(sec, "a"), cfg.get_float(sec, "b"), params.theta_bar
             )
-    raise ConfigError(
-        f"{cfg.path}:{sec.line_of('family')}: unknown distribution family '{family}' "
-        "(expected uniform, truncexpon, or beta)"
-    )
+    raise cfg._err(sec.line_of("family"), f"unknown distribution family '{family}' "
+                   "(expected uniform, truncexpon, or beta)")
 
 
 def build_floor(cfg: ConfigFile) -> EquityFloor | None:
@@ -323,9 +326,41 @@ def build_floor(cfg: ConfigFile) -> EquityFloor | None:
                 tuple(cfg.get_floats(sec, "theta_knots")),
                 tuple(cfg.get_floats(sec, "b_values")),
             )
-    raise ConfigError(
-        f"{cfg.path}:{sec.line}: [floor] type must be 'parallel' or 'custom', got '{kind}'"
-    )
+    raise cfg._err(sec.line, f"[floor] type must be 'parallel' or 'custom', got '{kind}'")
+
+
+def build_schedule(cfg: ConfigFile) -> Schedule:
+    """The published payout: [mechanism]'s rule raised to [floor]'s floor; a
+    floor the rule refuses (one above its cap) is cited at [floor]."""
+    params, floor = build_mechanism(cfg), build_floor(cfg)
+    with _located(cfg, cfg.find("floor")):
+        return Schedule(params, floor)
+
+
+def build_simulation(cfg: ConfigFile) -> tuple:
+    """[simulate]'s (n, override_shift, screening_beta), (100, 0.0, inf) without it."""
+    sec = cfg.find("simulate")
+    if sec is None:
+        return 100, 0.0, math.inf
+    n = cfg.get_int(sec, "n", 100)
+    if n < 1:
+        raise cfg._err(sec.line_of("n"), f"simulate n must be >= 1, got {n}")
+    override_shift = cfg.get_float(sec, "override_shift", 0.0, finite=True)
+    beta = cfg.get_float(sec, "screening_beta", math.inf)
+    if not beta >= 0:
+        raise cfg._err(sec.line_of("screening_beta"), f"screening_beta must be >= 0, got {beta}")
+    return n, override_shift, beta
+
+
+def build_announced(cfg: ConfigFile, regimes: int) -> tuple | None:
+    """[announced]'s (delta_omega_T, delta_b_bar), or None; a claim needs ``regimes`` == 2."""
+    sec = cfg.find("announced")
+    if sec is None:
+        return None
+    if regimes != 2:
+        raise cfg._err(sec.line, "[announced] needs two --data files (before and after)")
+    return (cfg.get_float(sec, "delta_omega_T", 0.0, finite=True),
+            cfg.get_float(sec, "delta_b_bar", 0.0, finite=True))
 
 
 #: Each sweep parameter and the (section, key) of the config entry it sets.
@@ -353,10 +388,8 @@ def build_sweep(cfg: ConfigFile) -> SweepPlan:
     sec = cfg.require("sweep")
     parameter = sec.get("parameter")
     if parameter not in SWEEPABLE:
-        raise ConfigError(
-            f"{cfg.path}:{sec.line_of('parameter')}: parameter must be one of "
-            f"{', '.join(SWEEPABLE)}, got '{parameter}'"
-        )
+        raise cfg._err(sec.line_of("parameter"), f"parameter must be one of "
+                       f"{', '.join(SWEEPABLE)}, got '{parameter}'")
     where = SWEEPABLE[parameter]
     if where[0] == "legislature" and (cfg.require("mechanism").get("b_bar") is not None
                                       or cfg.find("legislature") is None):
@@ -418,10 +451,11 @@ def build_allocation_problem(cfg: ConfigFile) -> tuple[AllocationProblem, list]:
         name = sec.name[len("municipality"):].strip() or f"#{len(names) + 1}"
         with _located(cfg, cfg._checked(sec, "municipality")):
             p = MechanismParams(*(cfg.get_float(sec, key) for key in _PARAM_NAMES))
-        theta = cfg.get_float(sec, "theta")
+            theta = cfg.get_float(sec, "theta")
+            _check_theta_domain(theta, p)
         names.append(name)
         munis.append((p, theta))
     if not munis:
-        raise ConfigError(f"{cfg.path}: no [municipality ...] sections found")
+        raise cfg._err(None, "no [municipality ...] sections found")
     with _located(cfg, treasury):
         return AllocationProblem(tuple(munis), budget), names

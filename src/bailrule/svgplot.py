@@ -12,18 +12,16 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .estimation import _REGIMES
+
 __all__ = ["scatter_chart", "line_chart"]
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 18, 36, 46
 
-REGIME_COLORS = {
-    "zero": "#8c8c8c",
-    "interior": "#2b6cb0",
-    "cap": "#b7791f",
-    "override": "#c53030",
-    None: "#555555",
-}
+#: One color per ``_REGIMES`` label, in its order (the legend's), then the fallback.
+REGIME_COLORS = dict(zip((*_REGIMES, None),
+                         ("#8c8c8c", "#2b6cb0", "#b7791f", "#c53030", "#555555"), strict=True))
 
 SERIES_COLORS = ("#2b6cb0", "#b7791f", "#2f855a", "#c53030", "#6b46c1")
 

@@ -172,6 +172,17 @@ def test_negative_budget_rejected():
         AllocationProblem(((muni(), 1.0),), treasury_limit=-1.0)
 
 
+@pytest.mark.parametrize("munis, message", [
+    ((), "need at least one municipality"),
+    ((((1.0, 1.0, 0.0, 0.0, 10.0, 10.0), 1.0),), "each municipality needs MechanismParams"),
+    (((muni(theta_bar=4.0), 5.0),), r"theta must lie in \[0, theta_bar\]=\[0, 4\.0\]"),
+    (((muni(), math.nan),), r"theta must lie in \[0, theta_bar\]"),
+], ids=["empty", "not-params", "shock-above-support", "nan-shock"])
+def test_allocation_problem_refusals(munis, message):
+    with pytest.raises(ParameterError, match=message):
+        AllocationProblem(munis, treasury_limit=1.0)
+
+
 def test_cap_flags():
     tight = replace(muni(), b_bar=0.3)
     prob = AllocationProblem(((tight, 2.0), (muni(), 2.0)), treasury_limit=5.0)

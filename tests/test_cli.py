@@ -322,7 +322,8 @@ def test_simulate_infinite_shock_parameter_exit_1(tmp_path, capsys, section):
     cfg.write_text(text)
     out = tmp_path / "out"
     assert run(["simulate", "--config", cfg, "--seed", 1, "--out-dir", out]) == 1
-    line = text.splitlines().index("[distribution]") + 1
+    # cited at the line of the infinite key, not at the section header
+    line = next(i for i, x in enumerate(text.splitlines(), 1) if x.endswith("= inf"))
     err = capsys.readouterr().err
     assert f"{cfg}:{line}: invalid [distribution]" in err
     assert "must be finite" in err
@@ -386,6 +387,33 @@ def test_audit_announced_with_one_data_file_exit_1(tmp_path, capsys):
                 "--out-dir", out]) == 1
     assert capsys.readouterr().err == (
         f"error: {cfg}:12: [announced] needs two --data files (before and after)\n")
+    assert not out.exists()
+
+
+def test_audit_three_data_files_exit_1(base_cfg, tmp_path, capsys):
+    run(["simulate", "--config", base_cfg, "--seed", 2, "--out-dir", tmp_path])
+    capsys.readouterr()
+    data = tmp_path / "episodes.csv"
+    out = tmp_path / "out"
+    assert run(["audit", "--config", base_cfg, "--data", data, "--data", data, "--data", data,
+                "--out-dir", out]) == 1
+    assert capsys.readouterr().err == (
+        "error: audit takes one --data file, or two for a regime comparison\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rulecard", "simulate", "audit"])
+def test_floor_above_the_cap_cited_at_floor_exit_1(tmp_path, capsys, command):
+    # each command refused it with no file:line
+    data = tmp_path / "episodes.csv"
+    data.write_text("theta,b\n1.0,0.25\n")
+    cfg = tmp_path / "high.cfg"
+    cfg.write_text(BASE + "\n[floor]\ntype = custom\ntheta_knots = 0.5, 1.0\nb_values = 0.1, 0.9\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg, "--out-dir", out]
+    assert run(argv + (["--data", data] if command == "audit" else [])) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:12: invalid [floor]: floor demands 0.9 above the consent cap 0.5\n")
     assert not out.exists()
 
 
@@ -686,6 +714,17 @@ def test_allocate_slack_budget(tmp_path):
     out = tmp_path / "out"
     assert run(["allocate", "--config", cfg, "--out-dir", out]) == 0
     assert "interior" in (out / "allocation.txt").read_text()
+
+
+def test_allocate_shock_outside_support_cited_at_theta_exit_1(tmp_path, capsys):
+    # it was blamed on [treasury]'s header line
+    cfg = tmp_path / "alloc.cfg"
+    cfg.write_text(ALLOC.replace("theta_bar = 10.0\ntheta = 1.0", "theta_bar = 4.0\ntheta = 5.0"))
+    out = tmp_path / "out"
+    assert run(["allocate", "--config", cfg, "--out-dir", out]) == 1
+    assert capsys.readouterr().err == (f"error: {cfg}:11: invalid [municipality north]: "
+                                       "theta must lie in [0, theta_bar]=[0, 4.0]\n")
+    assert not out.exists()
 
 
 # --- determinism across commands -------------------------------------------

@@ -9,13 +9,17 @@ from hypothesis import given, settings, strategies as st
 from bailrule import ConfigError, consent_cap_analytic, cutoffs
 from bailrule.configfile import (
     build_allocation_problem,
+    build_announced,
     build_distribution,
     build_floor,
     build_mechanism,
+    build_schedule,
+    build_simulation,
     build_sweep,
     build_weight_profile,
     parse_config,
 )
+from bailrule.floors import Schedule
 
 BASE = """\
 [mechanism]
@@ -208,6 +212,75 @@ def test_allocation_builder():
 def test_allocation_requires_municipalities():
     with pytest.raises(ConfigError, match="municipality"):
         build_allocation_problem(parse_config("[treasury]\nbudget = 1.0\n"))
+
+
+# --- where a refused value is cited ----------------------------------------
+
+@pytest.mark.parametrize("old, new, line, message", [
+    ("tau = 0.25", "tau = 2", 9, r"\[legislature\]: tau must lie in \(0, 1\], got 2\.0"),
+    ("w_beneficiary = 0.5", "w_beneficiary = 1.5", 8, r"\[legislature\]: w_beneficiary must"),
+    ("c = 4.0", "c = -4.0", 3, r"\[mechanism\]: c must be finite and > 0"),
+    ("T = 0.3", "T = 5.0", 4, r"\[mechanism\]: T must lie in \[0, theta_bar\]"),
+    # a joint message names no one key: the section header
+    ("lambda1 = 2.0", "lambda1 = -2.0", 7, r"\[legislature\]: lambda0 and lambda1 must"),
+    ("h_hi = 2.0", "h_hi = -2.0", 7, r"\[legislature\]: need 0 <= lo < hi"),
+], ids=["tau", "w_beneficiary", "c", "T", "lambda-joint", "threshold-dist"])
+def test_refused_value_cited_at_its_key_else_at_its_section(old, new, line, message):
+    cfg = parse_config(LEGISLATURE.replace(old, new), path="x.cfg")
+    with pytest.raises(ConfigError, match=rf"^x\.cfg:{line}: invalid {message}"):
+        build_mechanism(cfg)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("salience = 0.3", "salience = -1", r"^x\.cfg:15: salience gives omega_T = -1\.6 < 0$"),
+    ("salience = 0.3", "salience = inf", r"^x\.cfg:15: 'salience' must be finite, got inf$"),
+    ("lambda0 = 0.4", "lambda0 = inf", r"^x\.cfg:13: 'lambda0' must be finite, got inf$"),
+], ids=["negative-salience", "infinite-salience", "infinite-lambda0"])
+def test_derived_political_cost_refused_at_its_key(old, new, message):
+    # each was blamed on [mechanism]'s header as an invalid omega_T
+    with pytest.raises(ConfigError, match=message):
+        build_mechanism(parse_config(LEGISLATURE.replace(old, new), path="x.cfg"))
+
+
+def test_floor_refusals_cited_at_the_floor_header():
+    text = BASE + "\n[floor]\ntype = custom\ntheta_knots = 0.5, 1.0\nb_values = 0.2, 0.1\n"
+    with pytest.raises(ConfigError, match=r"^x\.cfg:9: invalid \[floor\]: floor values must"):
+        build_floor(parse_config(text, path="x.cfg"))
+
+
+# --- schedule, simulation and announced-change builders ---------------------
+
+def test_schedule_builder():
+    cfg = parse_config(BASE + "\n[floor]\ntype = parallel\na = 0.1\n")
+    assert build_schedule(cfg) == Schedule(build_mechanism(cfg), build_floor(cfg))
+    assert build_schedule(parse_config(BASE)).floor is None
+
+
+def test_simulation_builder():
+    assert build_simulation(parse_config(BASE)) == (100, 0.0, math.inf)
+    assert build_simulation(parse_config(BASE + "\n[simulate]\n")) == (100, 0.0, math.inf)
+    cfg = parse_config(BASE + "\n[simulate]\nn = 7\noverride_shift = 0.2\nscreening_beta = 0.3\n")
+    assert build_simulation(cfg) == (7, 0.2, 0.3)
+    for entry, message in [
+        ("n = 0", r"^x\.cfg:10: simulate n must be >= 1, got 0$"),
+        ("n = 2.5", r"^x\.cfg:10: 'n' must be an integer, got '2\.5'$"),
+        ("override_shift = inf", r"^x\.cfg:10: 'override_shift' must be finite, got inf$"),
+        ("screening_beta = -1", r"^x\.cfg:10: screening_beta must be >= 0, got -1\.0$"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            build_simulation(parse_config(BASE + f"\n[simulate]\n{entry}\n", path="x.cfg"))
+
+
+def test_announced_builder():
+    assert build_announced(parse_config(BASE), 1) is None
+    cfg = parse_config(BASE + "\n[announced]\ndelta_b_bar = -0.1\n", path="x.cfg")
+    assert build_announced(cfg, 2) == (0.0, -0.1)
+    for regimes in (1, 3):
+        with pytest.raises(ConfigError, match=r"^x\.cfg:9: \[announced\] needs two --data files"):
+            build_announced(cfg, regimes)
+    cfg = parse_config(BASE + "\n[announced]\ndelta_omega_T = inf\n", path="x.cfg")
+    with pytest.raises(ConfigError, match=r"^x\.cfg:10: 'delta_omega_T' must be finite, got inf$"):
+        build_announced(cfg, 2)
 
 
 # --- unknown keys ----------------------------------------------------------

@@ -208,7 +208,8 @@ def test_policy_monotone_in_omega_T_and_cap(p, frac, d_omega, d_cap):
 @settings(max_examples=200, deadline=None)
 def test_policy_lipschitz_above_T(p, frac, eps):
     # only permitted jump is at theta = T itself
-    theta = p.T + frac * (p.theta_bar - p.T)
+    # T + 1.0 * (theta_bar - T) can round one ulp past theta_bar
+    theta = min(p.T + frac * (p.theta_bar - p.T), p.theta_bar)
     theta2 = min(theta + eps, p.theta_bar)
     d = abs(tlc_policy_linear(theta2, p) - tlc_policy_linear(theta, p))
     assert d <= (p.omega_b / p.c) * (theta2 - theta) + 1e-9

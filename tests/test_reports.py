@@ -1,6 +1,7 @@
 """Rule cards, audit reports, sweeps, and the SVG emitters."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from bailrule import (
     tlc_policy_linear,
 )
 from bailrule.configfile import build_mechanism, build_sweep, parse_config
+from bailrule.estimation import _REGIMES
 from bailrule.reporting import (
     render_allocation_text,
     render_audit_text,
@@ -28,7 +30,7 @@ from bailrule.reporting import (
     sweep_csv,
 )
 from bailrule.rulecard import card_from_json, card_to_json, make_rule_card, render_card_text
-from bailrule.svgplot import line_chart, scatter_chart
+from bailrule.svgplot import REGIME_COLORS, line_chart, scatter_chart
 
 CANON = MechanismParams(2, 4, 1, T=0.1, b_bar=0.5, theta_bar=3)
 
@@ -418,6 +420,13 @@ def test_scatter_chart_is_valid_svg():
     assert svg.startswith("<svg ")
     assert svg.rstrip().endswith("</svg>")
     assert svg.count("<circle") == 3
+
+
+def test_scatter_legend_lists_the_regimes_in_order():
+    svg = scatter_chart([(1.0, 0.25, "interior")], fitted=[(0, 0)], published=[(0, 0)])
+    labels = re.findall(r'font-size="10" fill="#333333">([^<]*)</text>', svg)
+    assert labels[labels.index("published") + 1:] == list(_REGIMES)
+    assert list(REGIME_COLORS) == [*_REGIMES, None]
 
 
 def test_line_chart_skips_non_finite():
