@@ -23,6 +23,10 @@ import os
 import sys
 from pathlib import Path
 
+# a command makes no BLAS call worth a thread pool, and OpenBLAS's idle
+# workers spin from numpy's import on; the setting is read only at that import
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .allocation import allocate, cap_ordering_report, kkt_residuals

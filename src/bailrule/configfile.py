@@ -259,6 +259,9 @@ def _cap_profile(cfg: ConfigFile, sec: Section, T: float) -> WeightProfile | Non
     """The legislature the cap is derived from; None when ``sec`` states b_bar."""
     if sec.get("b_bar") is not None:
         return None
+    with _located(cfg, sec):  # T is sec's key; the WeightProfile would cite [legislature]
+        if not T >= 0:
+            raise ParameterError(f"T must be >= 0, got {T}")
     profile = build_weight_profile(cfg, T)
     if profile is None:
         raise cfg._err(sec.line, "b_bar missing and no [legislature] "

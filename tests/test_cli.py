@@ -629,6 +629,15 @@ def test_sweep_tau_refused_with_a_stated_cap(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_negative_T_with_a_derived_cap_cited_at_its_line(tmp_path, capsys):
+    # the legislature's WeightProfile refused T first, cited at [legislature]
+    cfg = tmp_path / "negT.cfg"
+    cfg.write_text(BASE.replace("b_bar = 0.5\n", "").replace("T = 0.1", "T = -1") + UNIFORM_H)
+    assert run(["rulecard", "--config", cfg, "--out-dir", tmp_path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:5: invalid [mechanism]: T must be >= 0, got -1.0\n")
+
+
 def test_sweep_T_moves_a_derived_cap_as_rulecard_does(tmp_path):
     # every row kept the cap derived at the config's T: b_bar 0.1, theta_hi 0.7
     derived = BASE.replace("b_bar = 0.5\n", "") + UNIFORM_H
@@ -755,13 +764,14 @@ def test_out_dir_env_var(base_cfg, tmp_path, monkeypatch):
     assert card["theta_lo"] == 0.5
 
 
-# --- cold start: no scipy on the command-line path ---------------------------
+# --- cold start: no scipy, one BLAS thread on the command-line path ----------
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _python(code, cwd):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _python(code, cwd, **env_vars):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_vars, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
@@ -779,6 +789,35 @@ def test_cli_import_loads_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")],
+                         ids=["unset", "kept"])
+def test_cli_import_pins_one_blas_thread_unless_set(tmp_path, preset, expected):
+    proc = _python(
+        """
+        import os
+        import bailrule.cli
+        print(os.environ["OPENBLAS_NUM_THREADS"])
+        """,
+        tmp_path, **preset,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_starts_no_blas_worker_threads(tmp_path):
+    proc = _python(
+        """
+        import os
+        import bailrule.cli
+        print(len(os.listdir("/proc/self/task")))
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def test_cli_commands_run_without_scipy(tmp_path):
