@@ -7,37 +7,29 @@ the card, and scan the cap region for overrides.
 Run:  python3 demos/04_estimation_audit.py
 """
 
-import numpy as np
-
 from bailrule import (
-    Episode,
     MechanismParams,
+    Schedule,
+    UniformShock,
     attribute_shift,
     cutoffs,
     fit_tlc,
-    tlc_policy_linear,
 )
+from bailrule.floors import simulate_episodes
 from bailrule.reporting import run_audit
 
 params = MechanismParams(omega_b=2.0, c=4.0, omega_T=1.0, T=0.1, b_bar=0.5, theta_bar=3.0)
 cut = cutoffs(params)
-
-
-def episodes(p, n, noise=0.0, override=0.0, seed=0):
-    r = np.random.default_rng(seed)
-    th = r.uniform(0.0, p.theta_bar, n)
-    b = tlc_policy_linear(th, p)
-    b = b + override * (th > cutoffs(p).theta_hi)
-    if noise:
-        b = np.maximum(b + r.normal(0.0, noise, n), 0.0)
-    return [Episode(t, v) for t, v in zip(th, b)]
+# histories come from the generator behind `bailrule simulate`, here with
+# uniform shocks: simulate_episodes(schedule, shocks, n, seed, noise=...)
+shocks = UniformShock(params.theta_bar)
 
 
 # --- a clean regime audits clean ---------------------------------------------
 
 # tol is the auditor's call: 5x the measurement noise keeps honest scatter
 # out of the override bucket
-clean = episodes(params, 400, noise=0.01, seed=1)
+clean = simulate_episodes(Schedule(params), shocks, 400, 1, noise=0.01)
 report = run_audit(clean, params, tol=0.05)
 print(f"fitted signature: s = {report.fit.s:.4f}, "
       f"knots = ({report.fit.theta1:.4f}, {report.fit.theta2:.4f})")
@@ -50,7 +42,7 @@ print()
 
 # --- cap-region overrides leave a crisp fingerprint ---------------------------
 
-shifted = episodes(params, 400, noise=0.01, override=0.2, seed=2)
+shifted = simulate_episodes(Schedule(params), shocks, 400, 2, noise=0.01, override_shift=0.2)
 report2 = run_audit(shifted, params, tol=0.05)
 print("after injecting +0.2 above the cap cutoff:")
 print("  labels:", dict(report2.counts))
@@ -64,8 +56,8 @@ print()
 # Year 2 raises the political cost by 0.4 — say a salience shock — while the
 # cap stays put.  The knot shifts identify which lever moved.
 after_params = MechanismParams(2.0, 4.0, 1.4, 0.1, 0.5, 3.0)
-before = episodes(params, 500, noise=0.01, seed=3)
-after = episodes(after_params, 500, noise=0.01, seed=4)
+before = simulate_episodes(Schedule(params), shocks, 500, 3, noise=0.01)
+after = simulate_episodes(Schedule(after_params), shocks, 500, 4, noise=0.01)
 fit_before = fit_tlc(before, t_admissible=params.T)
 fit_after = fit_tlc(after, t_admissible=params.T)
 attr = attribute_shift(fit_before, fit_after, params.omega_b, params.c,

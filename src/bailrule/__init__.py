@@ -20,7 +20,7 @@ _EXPORTS = {
     "policy": (
         "ComparativeStatics", "Cutoffs", "MarginalBenefit", "MechanismParams",
         "WelfareWedge", "activation_derivative", "comparative_statics", "cutoffs",
-        "delta_theta_hi", "knife_edge", "screened_payout", "tlc_policy_general",
+        "delta_theta_hi", "knife_edge", "tlc_policy_general",
         "tlc_policy_linear", "welfare_wedge_shift",
     ),
     "distributions": (
@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "floors": (
         "EXTRA_KINK", "SC_DOMINATED", "SC_PARALLEL", "CustomFloor", "ParallelFloor",
-        "Schedule", "apply_equity_floor", "classify_floor",
+        "Schedule", "apply_equity_floor", "classify_floor", "screened_payout",
     ),
     "voting": (
         "DiscreteThreshold", "FiniteLegislature", "PoliticalCostSpec",

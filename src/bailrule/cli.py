@@ -27,8 +27,6 @@ from pathlib import Path
 # workers spin from numpy's import on; the setting is read only at that import
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
 from .allocation import allocate, cap_ordering_report, kkt_residuals
 from .configfile import (
     build_allocation_problem,
@@ -49,7 +47,7 @@ from .errors import (
     ParameterError,
 )
 from .estimation import _KNOT_GRID, predict
-from .policy import cutoffs
+from .floors import simulate_episodes
 from .reporting import (
     render_allocation_text,
     render_audit_text,
@@ -97,23 +95,9 @@ def cmd_simulate(args) -> int:
     schedule = build_schedule(cfg)
     dist = build_distribution(cfg, schedule.params)
     n, override_shift, beta = build_simulation(cfg)
-    if not 0 <= args.noise < np.inf:
-        raise ParameterError(f"noise must be finite and >= 0, got {args.noise}")
-    if args.seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {args.seed}")
-
-    rng = np.random.default_rng(args.seed)
-    theta = np.asarray(dist.rvs(n, rng), dtype=float)
-    b = schedule.payout(theta)
-    if np.isfinite(beta):
-        b = np.minimum(beta, b)
-    if override_shift:
-        b = b + override_shift * (theta > cutoffs(schedule.rule).theta_hi)
-    if args.noise > 0:
-        b = np.maximum(b + rng.normal(0.0, args.noise, size=n), 0.0)
-
+    table = simulate_episodes(schedule, dist, n, args.seed, args.noise, override_shift, beta)
     out = _out_dir(args)
-    write_episodes(out / "episodes.csv", theta, b)
+    write_episodes(out / "episodes.csv", table.theta, table.b)
     print(f"wrote {out / 'episodes.csv'}")
     return 0
 

@@ -19,8 +19,8 @@ will defeat a two-cutoff audit signature).  It is exact: both floor shapes
 are piecewise linear, so it compares floor and line only at the interior
 region's ends and a custom floor's knots inside it.
 
-``Schedule``, a rule plus an optional floor, is the published payout: the
-CLI's rule card, simulation, audit and plot all read it and its ``rule``.
+``Schedule``, a rule plus an optional floor, is the published payout that the
+rule card, audit and plot read; ``simulate_episodes`` draws its ``screened_payout``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .dataio import EpisodeTable
 from .errors import ParameterError
 from .policy import MechanismParams, _payout, _tlc, cutoffs
 
@@ -40,6 +41,8 @@ __all__ = [
     "Schedule",
     "apply_equity_floor",
     "classify_floor",
+    "screened_payout",
+    "simulate_episodes",
     "SC_PARALLEL",
     "SC_DOMINATED",
     "EXTRA_KINK",
@@ -213,3 +216,30 @@ def apply_equity_floor(theta, floor: EquityFloor, params: MechanismParams):
     """``Schedule(params, floor)``'s payout at ``theta`` and floor class."""
     schedule = Schedule(params, floor)
     return schedule.payout(theta), schedule.floor_class
+
+
+def screened_payout(beta: float, theta_hat, schedule: Schedule):
+    """``schedule.payout(theta_hat)``, floor included, capped at ``beta``."""
+    beta = float(beta)
+    if not beta >= 0:
+        raise ParameterError(f"beta must be >= 0, got {beta}")
+    b = schedule.payout(theta_hat)
+    return np.minimum(beta, b) if isinstance(b, np.ndarray) else min(beta, b)
+
+
+def simulate_episodes(schedule: Schedule, dist, n: int, seed: int, noise: float = 0.0,
+                      override_shift: float = 0.0, beta: float = math.inf) -> EpisodeTable:
+    """``n`` shocks ``dist.rvs(n, default_rng(seed))`` and their ``screened_payout``,
+    ``override_shift`` added above the cap cutoff, N(0, noise) noise clipped at 0."""
+    if not 0 <= noise < np.inf:
+        raise ParameterError(f"noise must be finite and >= 0, got {noise}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
+    theta = np.asarray(dist.rvs(n, rng), dtype=float)
+    b = screened_payout(beta, theta, schedule)
+    if override_shift:
+        b = b + override_shift * (theta > cutoffs(schedule.rule).theta_hi)
+    if noise > 0:
+        b = np.maximum(b + rng.normal(0.0, noise, size=n), 0.0)
+    return EpisodeTable(theta, b)

@@ -14,7 +14,7 @@ upper cutoff.  Each closed form is written once, elementwise: ``_tlc`` the
 schedule, behind ``tlc_policy_linear``, and ``_cutoffs`` its two cutoffs,
 behind ``cutoffs``.  ``tlc_policy_general`` solves the same box-constrained
 concave program for an arbitrary declared marginal benefit via its three KKT
-branches plus bisection on the stationarity condition.
+branches plus bisection; ``floors`` raises the payout to a floor and screens it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "delta_theta_hi",
     "welfare_wedge_shift",
     "activation_derivative",
-    "screened_payout",
 ]
 
 #: Absolute tolerance on b for the interior bisection, and its iteration cap.
@@ -340,12 +339,3 @@ def activation_derivative(params: MechanismParams, dist: "ShockDistribution") ->
         )
     jump = float(_tlc(params.T, params.omega_b, params.c, params.omega_T, floor=-math.inf))
     return -jump * float(dist.pdf(params.T))
-
-
-def screened_payout(beta: float, theta_hat, params: MechanismParams):
-    """Payout under an exogenous screening cap: min(beta, schedule(theta_hat))."""
-    beta = float(beta)
-    if not beta >= 0:
-        raise ParameterError(f"beta must be >= 0, got {beta}")
-    rule = tlc_policy_linear(theta_hat, params)
-    return np.minimum(beta, rule) if isinstance(rule, np.ndarray) else min(beta, rule)

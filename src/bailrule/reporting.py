@@ -113,21 +113,21 @@ def _signature_checks(
 
     if card is None:
         slope_match = card_match = NOT_IDENTIFIED, NO_CARD
-    elif fit.degenerate:
-        slope_match = NOT_IDENTIFIED, "no slope estimate"
-        card_match = NOT_IDENTIFIED, "degenerate fit"
     else:
-        # slope-match: override-robust slope against the card's omega_b / c;
-        # neither the scan nor a fit without an interior segment estimates it
+        # slope-match: override-robust slope against the card's omega_b / c; an
+        # identified scan estimates it also on a degenerate fit (never paid)
         s, est = card.interior_slope, override.slope_refit if override.identified else fit.s
-        if not override.identified and fit.no_interior:
-            slope_match = NOT_IDENTIFIED, "no interior segment"
+        if not override.identified and (fit.degenerate or fit.no_interior):
+            why = "no slope estimate" if fit.degenerate else "no interior segment"
+            slope_match = NOT_IDENTIFIED, why
         else:
             slope_match = (FAIL if _slope_moved(est, s) else PASS,
                            f"estimate {est:.6g} vs card {s:.6g} (rel dev {abs(est - s) / s:.2%})")
         # card-match: fitted knots against the published cutoffs, within knot_tol
         cut = cutoffs(card)
-        if cut.theta_hi > hi_edge:
+        if fit.degenerate:
+            card_match = NOT_IDENTIFIED, "degenerate fit"
+        elif cut.theta_hi > hi_edge:
             card_match = NOT_IDENTIFIED, "published cap cutoff beyond observed shocks"
         else:
             d1, d2 = abs(fit.theta1 - cut.theta_lo), abs(fit.theta2 - cut.theta_hi)

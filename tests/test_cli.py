@@ -13,8 +13,16 @@ import pytest
 
 from bailrule import Episode, Schedule, TlcFit, cutoffs, fit_tlc, tlc_policy_linear
 from bailrule.cli import main
-from bailrule.configfile import build_floor, build_mechanism, parse_config
-from bailrule.dataio import read_episodes
+from bailrule.configfile import (
+    build_distribution,
+    build_floor,
+    build_mechanism,
+    build_schedule,
+    build_simulation,
+    parse_config,
+)
+from bailrule.dataio import episodes_to_csv, read_episodes
+from bailrule.floors import simulate_episodes
 from bailrule.reporting import run_audit
 from bailrule.rulecard import card_from_json
 
@@ -330,6 +338,37 @@ def test_simulate_infinite_shock_parameter_exit_1(tmp_path, capsys, section):
     assert not (out / "episodes.csv").exists()
 
 
+#: Simulation configs: no floor; the benchmark's simulate shape (beta shocks,
+#: a parallel floor, screening, an override shift); a custom floor under
+#: truncated-exponential shocks and screening.
+SIM_CONFIGS = {
+    "no-floor": BASE,
+    "parallel-beta": BASE.replace("omega_T = 1.0", "omega_T = 0.7")
+    + "screening_beta = 0.45\noverride_shift = 0.04\n"
+    + "\n[distribution]\nfamily = beta\na = 2.2\nb = 1.8\n\n[floor]\ntype = parallel\na = 0.05\n",
+    "custom-truncexpon": BASE + "screening_beta = 0.35\n"
+    + "\n[distribution]\nfamily = truncexpon\nrate = 0.8\n"
+    + "\n[floor]\ntype = custom\ntheta_knots = 0.2, 1.0, 2.0\nb_values = 0.05, 0.2, 0.3\n",
+}
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", list(SIM_CONFIGS))
+def test_simulate_writes_what_the_library_draws(tmp_path, name, seed, noise):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CONFIGS[name])
+    assert run(["simulate", "--config", cfg, "--seed", seed, "--noise", noise,
+                "--out-dir", tmp_path]) == 0
+    parsed = parse_config(SIM_CONFIGS[name])
+    schedule = build_schedule(parsed)
+    n, override_shift, beta = build_simulation(parsed)
+    table = simulate_episodes(schedule, build_distribution(parsed, schedule.params), n, seed,
+                              noise=noise, override_shift=override_shift, beta=beta)
+    want = episodes_to_csv(table.theta, table.b).encode()
+    assert (tmp_path / "episodes.csv").read_bytes() == want
+
+
 # --- audit -----------------------------------------------------------------
 
 def test_audit_of_a_dead_rule_draws_its_plot(tmp_path):
@@ -473,6 +512,20 @@ def test_audit_strict_names_the_failed_checks(tmp_path, capsys):
     assert run(["audit", "--strict", "--config", cfg, "--data", tmp_path / "episodes.csv",
                 "--out-dir", tmp_path]) == 3
     assert capsys.readouterr().err == "strict mode: signature check(s) failed: two-cutoff\n"
+
+
+def test_audit_never_paid_history_strict_exit_3(base_cfg, tmp_path, capsys):
+    # relief never paid: every signature check said not-identified, and
+    # --strict exited 0
+    theta = np.random.default_rng(9).uniform(0, 3, 2000)
+    data = tmp_path / "never.csv"
+    data.write_text(episodes_to_csv(theta, np.zeros_like(theta)))
+    assert run(["audit", "--strict", "--config", base_cfg, "--data", data,
+                "--out-dir", tmp_path]) == 3
+    assert capsys.readouterr().err == "strict mode: signature check(s) failed: slope-match\n"
+    text = (tmp_path / "audit_report.txt").read_text()
+    assert "  slope-match            fail            estimate 0 vs card 0.5" in text
+    assert "  card-match             not-identified  degenerate fit\n" in text
 
 
 def test_audit_estimation_failure_exit_2(base_cfg, tmp_path, capsys):

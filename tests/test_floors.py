@@ -1,5 +1,8 @@
 """Equity floors layered on the base schedule."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,11 +16,15 @@ from bailrule import (
     ParallelFloor,
     ParameterError,
     Schedule,
+    UniformShock,
     apply_equity_floor,
     classify_floor,
     cutoffs,
+    screened_payout,
     tlc_policy_linear,
 )
+from bailrule.dataio import EpisodeTable
+from bailrule.floors import simulate_episodes
 from bailrule.policy import _tlc
 
 FLOOR_P = MechanismParams(omega_b=1, c=1, omega_T=0.5, T=0, b_bar=10, theta_bar=2)
@@ -240,3 +247,52 @@ def test_no_bailout_reads_the_floor():
     assert Schedule(dead, ParallelFloor(0.5)).no_bailout  # lifted line still below 0
     assert not Schedule(dead, CustomFloor((1.0, 2.0), (0.0, 0.2))).no_bailout
     assert not Schedule(FLOOR_P, ParallelFloor(1.0)).no_bailout
+
+
+# --- screening and the episode generator -----------------------------------
+
+def test_screened_payout_screens_the_floored_payout():
+    schedule = Schedule(FLOOR_P, ParallelFloor(0.1))
+    grid = np.linspace(0.0, 2.0, 401)
+    assert np.array_equal(screened_payout(0.3, grid, schedule), np.minimum(0.3, schedule.payout(grid)))
+    # below theta_lo = 0.5 the floor pays and the bare rule does not
+    b = screened_payout(0.3, 0.45, schedule)
+    assert type(b) is float and b == pytest.approx(0.05)
+    assert tlc_policy_linear(0.45, FLOOR_P) == 0.0
+    assert screened_payout(0.3, 1.9, schedule) == 0.3
+    assert screened_payout(math.inf, 1.9, schedule) == schedule.payout(1.9)
+
+
+def test_simulate_episodes_draws_the_screened_schedule():
+    schedule = Schedule(FLOOR_P, ParallelFloor(0.1))
+    dist = UniformShock(FLOOR_P.theta_bar)
+    table = simulate_episodes(schedule, dist, 300, 5, override_shift=0.2, beta=0.8)
+    assert isinstance(table, EpisodeTable) and len(table) == 300
+    theta = dist.rvs(300, np.random.default_rng(5))
+    assert np.array_equal(table.theta, theta)
+    above = theta > cutoffs(schedule.rule).theta_hi
+    assert np.array_equal(table.b, screened_payout(0.8, theta, schedule) + 0.2 * above)
+
+
+def test_simulate_episodes_draws_noise_after_the_shocks():
+    schedule = Schedule(FLOOR_P)
+    dist = UniformShock(FLOOR_P.theta_bar)
+    clean = simulate_episodes(schedule, dist, 200, 3)
+    noisy = simulate_episodes(schedule, dist, 200, 3, noise=0.05)
+    rng = np.random.default_rng(3)
+    dist.rvs(200, rng)  # the shock draw comes first
+    assert np.array_equal(noisy.theta, clean.theta)
+    assert np.array_equal(noisy.b, np.maximum(clean.b + rng.normal(0.0, 0.05, size=200), 0.0))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"noise": math.nan}, "noise must be finite and >= 0, got nan"),
+    ({"noise": math.inf}, "noise must be finite and >= 0, got inf"),
+    ({"noise": -1.0}, "noise must be finite and >= 0, got -1.0"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"beta": -0.1}, "beta must be >= 0, got -0.1"),
+], ids=["noise-nan", "noise-inf", "noise-negative", "seed-negative", "beta-negative"])
+def test_simulate_episodes_refusals(kwargs, message):
+    args = {"seed": 0, **kwargs}
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        simulate_episodes(Schedule(FLOOR_P), UniformShock(FLOOR_P.theta_bar), 10, **args)

@@ -17,6 +17,7 @@ from bailrule import (
     NumericalInconsistencyError,
     ParameterError,
     PiecewiseRegimeError,
+    Schedule,
     UniformShock,
     activation_derivative,
     comparative_statics,
@@ -449,16 +450,16 @@ def test_activation_derivative_regime_errors():
 # --- screening bridge ------------------------------------------------------
 
 def test_screened_payout_values():
-    assert screened_payout(0.3, 1.0, CANON) == pytest.approx(0.25)
-    assert screened_payout(0.1, 1.0, CANON) == pytest.approx(0.1)
+    assert screened_payout(0.3, 1.0, Schedule(CANON)) == pytest.approx(0.25)
+    assert screened_payout(0.1, 1.0, Schedule(CANON)) == pytest.approx(0.1)
 
 
 def test_screened_payout_infinite_cap_is_identity():
     rng = np.random.default_rng(11)
     for theta in rng.uniform(0, 3, 200):
-        assert screened_payout(math.inf, theta, CANON) == tlc_policy_linear(theta, CANON)
+        assert screened_payout(math.inf, theta, Schedule(CANON)) == tlc_policy_linear(theta, CANON)
 
 
 def test_screened_payout_negative_beta():
     with pytest.raises(ParameterError):
-        screened_payout(-0.1, 1.0, CANON)
+        screened_payout(-0.1, 1.0, Schedule(CANON))

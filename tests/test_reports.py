@@ -21,6 +21,7 @@ from bailrule import (
     tlc_policy_linear,
 )
 from bailrule.configfile import build_mechanism, build_sweep, parse_config
+from bailrule.dataio import EpisodeTable
 from bailrule.estimation import _REGIMES
 from bailrule.reporting import (
     render_allocation_text,
@@ -207,6 +208,24 @@ def test_override_scan_not_identified_without_an_interior_episode():
     assert (slope_match.status, slope_match.detail) == ("not-identified", "no interior segment")
     text = render_audit_text(report)
     assert "override scan:    not identified (no episode between the cutoffs)\n" in text
+
+
+def test_never_paid_history_fails_slope_match():
+    # no payout anywhere: the fit is degenerate, but the scan at the card's
+    # knots is identified and refits a slope of 0 against the card's 0.5
+    theta = np.random.default_rng(9).uniform(0, 3, 2000)
+    report = run_audit(EpisodeTable(theta, np.zeros_like(theta)), CANON)
+    assert report.fit.degenerate and report.override.identified
+    assert report.override.slope_refit == 0.0
+    assert check_of(report, "slope-match") == ("fail", "estimate 0 vs card 0.5 (rel dev 100.00%)")
+    assert check_of(report, "card-match") == ("not-identified", "degenerate fit")
+    assert report.failed_checks == ["slope-match"]
+    # with no shock above the cap cutoff the scan is not identified either
+    low = theta[theta < 1.4]
+    report = run_audit(EpisodeTable(low, np.zeros_like(low)), CANON)
+    assert not report.override.identified
+    assert check_of(report, "slope-match") == ("not-identified", "no slope estimate")
+    assert report.failed_checks == []
 
 
 def test_announced_claim_without_a_second_regime_is_refused():
